@@ -13,10 +13,11 @@
 // All probes use the fleet's exact detection_time; the only approximation
 // is the eps offset (relative 1e-9).
 //
-// The probe scan itself is detection-oracle-agnostic (detail::
-// measure_cr_with): the batch engine in eval/batch.hpp runs the same scan
-// against a memoized oracle, so both paths share one implementation and
-// produce bit-identical results.
+// measure_cr runs the SoA probe kernel (eval/kernels).  The scalar
+// reference scan stays available, detection-oracle-agnostic, as
+// detail::measure_cr_with: the scalar-vs-SIMD differential and the
+// expectation engine drive it with their own oracles, and the kernel is
+// held bit-identical to it.
 #pragma once
 
 #include <functional>
@@ -69,7 +70,7 @@ namespace detail {
 using DetectionOracle = std::function<Real(Real x)>;
 
 /// The probe magnitudes measure_cr evaluates on one half-line (exposed
-/// for the batch engine and tests).
+/// for the SoA kernel and tests).
 [[nodiscard]] std::vector<Real> probe_magnitudes(const Fleet& fleet,
                                                  int side,
                                                  const CrEvalOptions& options);

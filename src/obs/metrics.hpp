@@ -1,6 +1,6 @@
 // obs/metrics.hpp — deterministic, lock-free-on-the-hot-path metrics.
 //
-// The library's hot loops (probe scans, visit-cache lookups, analytic
+// The library's hot loops (probe scans, analytic visit sweeps and
 // window queries) each record a handful of integer events per iteration.
 // The design goal is that recording an event costs one relaxed atomic add
 // on a THREAD-LOCAL cache line — no shared counters, no locks, no

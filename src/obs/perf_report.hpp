@@ -21,7 +21,7 @@
 //     analytic sweep.  "checksum" fields and the two *_identical_* flags
 //     are omitted; everything else keeps its name and shape.
 //
-// Both modes emit schema "linesearch-bench-perf/4" and embed the obs
+// Both modes emit schema kPerfReportSchema (below) and embed the obs
 // metric registry ("metrics": [...], see obs/export.hpp) folded over
 // exactly the workloads this report ran (the registry is reset first).
 // Schema /3 added the degraded_sweep workload (runtime/supervisor.hpp:

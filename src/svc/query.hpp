@@ -12,8 +12,8 @@
 // without changing a single answered bit:
 //   * a registry of immutable shared analytic backends keyed by
 //     (strategy, n, f, beta) — concurrent queries against the same
-//     regime pair reuse ONE Fleet, whose identity-keyed visit_cache
-//     slots (PR 3) make the sharing free;
+//     regime pair reuse ONE immutable Fleet, so sharing costs no
+//     rebuild and needs no lock;
 //   * an LRU of hot results sharded by regime pair (n, f), so a sweep
 //     over the 41-pair grid keeps every pair's hot window resident
 //     independently;

@@ -11,7 +11,6 @@
 #include "eval/expectation.hpp"
 #include "eval/kernels.hpp"
 #include "eval/montecarlo.hpp"
-#include "eval/visit_cache.hpp"
 #include "runtime/arbitration.hpp"
 #include "runtime/world.hpp"
 #include "sim/faults.hpp"
@@ -96,41 +95,6 @@ DifferentialResult diff_batch_threads(const std::vector<CrBatchJob>& jobs,
     result.message += " (+" +
                       std::to_string(result.mismatches.size() - 1) +
                       " more mismatches)";
-  }
-  return result;
-}
-
-DifferentialResult diff_cache_on_off(const std::vector<CrBatchJob>& jobs,
-                                     const int threads) {
-  DifferentialResult result;
-  result.name = "cache_on_off";
-  const std::vector<CrEvalResult> cached =
-      measure_cr_batch(jobs, {.threads = threads, .use_cache = true});
-  const std::vector<CrEvalResult> uncached =
-      measure_cr_batch(jobs, {.threads = threads, .use_cache = false});
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    compare_results(result, i, uncached[i], cached[i]);
-  }
-  return result;
-}
-
-DifferentialResult diff_cache_direct(const Fleet& fleet, const int f,
-                                     const std::vector<Real>& positions) {
-  DifferentialResult result;
-  result.name = "cache_direct";
-  if (positions.empty()) {
-    result.applicable = false;
-    return result;
-  }
-  const FleetVisitCache cache(fleet);
-  for (int round = 0; round < 2; ++round) {  // cold, then memoized
-    for (std::size_t i = 0; i < positions.size(); ++i) {
-      const Real direct = fleet.detection_time(positions[i], f);
-      const Real memoized = cache.detection_time(positions[i], f);
-      if (!value_identical(direct, memoized)) {
-        record(result, i, round == 0 ? "cold" : "warm", direct, memoized);
-      }
-    }
   }
   return result;
 }
@@ -604,7 +568,7 @@ DifferentialResult diff_scalar_vs_simd(const Fleet& fleet, const int f,
   relaxed.require_finite = false;
 
   // (a) Full scan: the SoA kernel vs the scalar reference loop backed by
-  // direct (uncached, unbatched) Fleet queries.
+  // direct (unbatched) Fleet queries.
   const CrEvalResult kernel = kernels::measure_cr_kernel(fleet, f, relaxed);
   const CrEvalResult scalar = detail::measure_cr_with(
       fleet, f, relaxed,
@@ -634,9 +598,9 @@ DifferentialResult diff_scalar_vs_simd(const Fleet& fleet, const int f,
 
 std::vector<DifferentialResult> run_differentials(
     const Fleet& fleet, const int f, const CrEvalOptions& eval,
-    const std::vector<Real>& targets, const DifferentialOptions& options) {
+    const DifferentialOptions& options) {
   // The thread race uses a small (f', window) sweep around the instance,
-  // the shape real sweeps have, so the cache sees cross-job sharing.
+  // the shape real sweeps have: several jobs over one shared fleet.
   std::vector<CrBatchJob> jobs;
   const int n = static_cast<int>(fleet.size());
   for (const int g : {0, f, n - 1}) {
@@ -647,13 +611,6 @@ std::vector<DifferentialResult> run_differentials(
 
   std::vector<DifferentialResult> results;
   results.push_back(diff_batch_threads(jobs, options));
-  results.push_back(diff_cache_on_off(jobs));
-  std::vector<Real> positions = targets;
-  if (positions.empty()) {
-    positions = {eval.window_lo, -eval.window_lo, eval.window_hi,
-                 -eval.window_hi};
-  }
-  results.push_back(diff_cache_direct(fleet, f, positions));
   results.push_back(diff_probe_vs_exact(fleet, f, eval, options));
   results.push_back(diff_exact_vs_grid(fleet, f, eval, options));
   results.push_back(diff_scalar_vs_simd(fleet, f, eval));

@@ -5,13 +5,13 @@
 // that share no implementation beyond the Fleet queries:
 //
 //   serial probe scan  (eval/cr_eval measure_cr)
-//   batched probe scan (eval/batch, any thread count, memoized oracle)
+//   batched probe scan (eval/batch, any thread count)
 //   certified suprema  (eval/exact, probe-free)
 //   dense grid sweep   (eval/batch k_profile over a geometric grid)
 //
 // Differential engines demand the right relation between each pair:
-// bit-identical where the contract is exact (thread counts, cache
-// on/off, memo vs direct), tolerance-bounded where an epsilon is part of
+// bit-identical where the contract is exact (thread counts, SoA kernel
+// vs scalar scan), tolerance-bounded where an epsilon is part of
 // the design (probe scan sits 1e-9 below the certified sup; a finite
 // grid sits at or below it).  A mismatch produces a structured report
 // naming the job, the field and both values, so a fuzzer failure is
@@ -71,15 +71,6 @@ struct DifferentialOptions {
 /// bit-identical to the serial (threads = 1) reference.
 [[nodiscard]] DifferentialResult diff_batch_threads(
     const std::vector<CrBatchJob>& jobs, const DifferentialOptions& options = {});
-
-/// Cached vs uncached batch paths at a fixed thread count: bit-identical.
-[[nodiscard]] DifferentialResult diff_cache_on_off(
-    const std::vector<CrBatchJob>& jobs, int threads = 8);
-
-/// Memoized FleetVisitCache::detection_time vs direct Fleet queries at
-/// explicit positions (queried twice: cold, then warm): bit-identical.
-[[nodiscard]] DifferentialResult diff_cache_direct(
-    const Fleet& fleet, int f, const std::vector<Real>& positions);
 
 /// Probe scan vs certified suprema: measured <= certified (a probe is a
 /// sample of the sup) and certified - measured <= probe_gap_tol relative.
@@ -189,11 +180,11 @@ struct DifferentialOptions {
 [[nodiscard]] DifferentialResult diff_scalar_vs_simd(
     const Fleet& fleet, int f, const CrEvalOptions& eval);
 
-/// Run every engine above on one (fleet, f, window) instance.  `targets`
-/// adds fuzzer-chosen positions to the memo-vs-direct check.
+/// Run the four fleet-level engines above (batch_threads,
+/// probe_vs_exact, exact_vs_grid, scalar_vs_simd) on one
+/// (fleet, f, window) instance.
 [[nodiscard]] std::vector<DifferentialResult> run_differentials(
     const Fleet& fleet, int f, const CrEvalOptions& eval,
-    const std::vector<Real>& targets = {},
     const DifferentialOptions& options = {});
 
 /// True iff every result is ok.

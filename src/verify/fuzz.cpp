@@ -292,7 +292,7 @@ FuzzInstance generate_instance(const std::uint64_t seed) {
   }
   if (instance.kind == FleetKind::kKernelSoA) {
     // Exact duplicates on purpose: the SoA kernel's first-occurrence
-    // dedup and the visit cache must treat a repeated position as one.
+    // dedup must treat a repeated position as one.
     const std::size_t unique_targets = instance.targets.size();
     for (std::size_t i = 0; i < unique_targets && i < 4; ++i) {
       instance.targets.push_back(instance.targets[i]);
@@ -504,8 +504,7 @@ FuzzOutcome run_instance(const FuzzInstance& instance) {
             outcome.differentials.push_back(diff_server_vs_library(query));
           }
         } else {
-          outcome.differentials =
-              run_differentials(fleet, instance.f, eval, instance.targets);
+          outcome.differentials = run_differentials(fleet, instance.f, eval);
         }
         if (instance.kind == FleetKind::kByzantineLies) {
           // Race the runtime claim arbiter against the analytic quorum

@@ -1,20 +1,19 @@
-// Tests for eval/batch.hpp and eval/visit_cache.hpp — the parallel
-// batched CR engine.  The load-bearing property is DETERMINISM: any
+// Tests for eval/batch.hpp — the parallel batched CR engine.  The load-bearing property is DETERMINISM: any
 // thread count must reproduce the serial path bit-for-bit.
 #include "eval/batch.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/algorithm.hpp"
 #include "core/baselines.hpp"
-#include "eval/visit_cache.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 
@@ -49,6 +48,14 @@ class ThreadsEnvGuard {
 bool bit_identical(const Real a, const Real b) {
   if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
   return a == b && std::signbit(a) == std::signbit(b);
+}
+
+/// Every CrEvalResult field, bitwise.
+bool same_result(const CrEvalResult& a, const CrEvalResult& b) {
+  return bit_identical(a.cr, b.cr) && bit_identical(a.argmax, b.argmax) &&
+         a.probes == b.probes && bit_identical(a.cr_positive, b.cr_positive) &&
+         bit_identical(a.cr_negative, b.cr_negative) &&
+         a.undetected_probes == b.undetected_probes;
 }
 
 std::vector<CrBatchJob> table1_style_jobs(const Fleet& fleet, const int n) {
@@ -103,20 +110,6 @@ TEST(MeasureCrBatch, EnvThreadCountsAreBitIdentical) {
   }
 }
 
-TEST(MeasureCrBatch, CacheOnAndOffAgreeBitwise) {
-  const ProportionalAlgorithm algo(5, 2);
-  const Fleet fleet = algo.build_fleet(600);
-  const std::vector<CrBatchJob> jobs = table1_style_jobs(fleet, 5);
-  const std::vector<CrEvalResult> cached =
-      measure_cr_batch(jobs, {.threads = 4, .use_cache = true});
-  const std::vector<CrEvalResult> uncached =
-      measure_cr_batch(jobs, {.threads = 4, .use_cache = false});
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_TRUE(bit_identical(cached[i].cr, uncached[i].cr)) << i;
-    EXPECT_TRUE(bit_identical(cached[i].argmax, uncached[i].argmax)) << i;
-  }
-}
-
 TEST(MeasureCrBatch, FaultBudgetConvenienceOverload) {
   const ProportionalAlgorithm algo(3, 1);
   const Fleet fleet = algo.build_fleet(500);
@@ -159,106 +152,9 @@ TEST(KProfileBatch, MatchesSerialKProfile) {
   }
 }
 
-TEST(VisitCache, MatchesUncachedDetectionBitwise) {
-  const ProportionalAlgorithm algo(5, 3);
-  const Fleet fleet = algo.build_fleet(300);
-  const FleetVisitCache cache(fleet);
-  for (const Real x : {1.0L, -2.5L, 17.0L, -63.0L, 1.0000000001L}) {
-    for (int f = 0; f < 5; ++f) {
-      const Real expected = fleet.detection_time(x, f);
-      const Real first = cache.detection_time(x, f);   // cold
-      const Real second = cache.detection_time(x, f);  // memoized
-      EXPECT_TRUE(bit_identical(expected, first));
-      EXPECT_TRUE(bit_identical(first, second));
-    }
-  }
-  EXPECT_GT(cache.hits(), 0u);
-  EXPECT_GT(cache.misses(), 0u);
-}
-
-TEST(VisitCache, WarmPhasePopulatesEntries) {
-  const GroupDoubling pack(2, 1);
-  const Fleet fleet = pack.build_fleet(200);
-  const FleetVisitCache cache(fleet);
-  cache.warm({1.0L, 2.0L, 3.0L});
-  const std::size_t misses_after_warm = cache.misses();
-  (void)cache.detection_time(2.0L, 0);
-  EXPECT_EQ(cache.misses(), misses_after_warm);  // pure hits
-  EXPECT_GE(cache.hits(), fleet.size());
-}
-
-TEST(VisitCache, ConcurrentReadersAreRaceFreeAndConsistent) {
-  // TSAN-facing stress test: 8 threads hammer one shared cache over an
-  // overlapping probe set (every value is recomputed-or-memoized under
-  // the striped locks).  Run under -fsanitize=thread in the CI tsan job.
-  const ProportionalAlgorithm algo(5, 3);
-  const Fleet fleet = algo.build_fleet(500);
-  const FleetVisitCache cache(fleet);
-
-  std::vector<Real> positions;
-  for (int i = 1; i <= 400; ++i) {
-    positions.push_back(1 + 0.11L * static_cast<Real>(i % 97));
-    positions.push_back(-(1 + 0.07L * static_cast<Real>(i % 89)));
-  }
-
-  std::vector<std::vector<Real>> per_thread(8);
-  std::vector<std::thread> workers;
-  for (std::size_t t = 0; t < per_thread.size(); ++t) {
-    workers.emplace_back([&cache, &positions, &per_thread, t] {
-      std::vector<Real>& mine = per_thread[t];
-      mine.reserve(positions.size());
-      for (const Real x : positions) {
-        mine.push_back(cache.detection_time(x, 3));
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    const Real expected = fleet.detection_time(positions[i], 3);
-    for (const std::vector<Real>& mine : per_thread) {
-      ASSERT_TRUE(bit_identical(mine[i], expected)) << "position " << i;
-    }
-  }
-}
-
-TEST(VisitCache, QuantizationCollisionBypassesTheCache) {
-  // Two positions distinct as long doubles but IDENTICAL once quantized
-  // to double (2^-60 is below double's 52-bit mantissa at magnitude 1):
-  // the cache must detect the key collision and fall back to the exact
-  // query, bit-identical to the uncached path, in both query orders.
-  const Fleet fleet = ProportionalAlgorithm(5, 2).build_fleet(64);
-  const Real x1 = 1.0L;
-  const Real x2 = 1.0L + ldexpl(1.0L, -60);
-  ASSERT_NE(x1, x2);
-  ASSERT_EQ(static_cast<double>(x1), static_cast<double>(x2));
-
-  const FleetVisitCache cache(fleet);
-  for (int round = 0; round < 2; ++round) {  // cold, then warm
-    for (int f = 0; f < 5; ++f) {
-      ASSERT_TRUE(bit_identical(cache.detection_time(x1, f),
-                                fleet.detection_time(x1, f)))
-          << "round " << round << " f " << f;
-      ASSERT_TRUE(bit_identical(cache.detection_time(x2, f),
-                                fleet.detection_time(x2, f)))
-          << "round " << round << " f " << f;
-    }
-    for (RobotId id = 0; id < fleet.size(); ++id) {
-      const std::vector<Real> direct1 = fleet.first_visit_times(x1);
-      const std::vector<Real> direct2 = fleet.first_visit_times(x2);
-      ASSERT_TRUE(bit_identical(cache.first_visit(id, x1), direct1[id]));
-      ASSERT_TRUE(bit_identical(cache.first_visit(id, x2), direct2[id]));
-    }
-  }
-  // At least one miss per distinct exact position: the collision cannot
-  // have served x2 from x1's entry.
-  EXPECT_GE(cache.misses(), 2u);
-}
-
 TEST(MeasureCrBatch, EmptyJobListYieldsEmptyResults) {
   EXPECT_TRUE(measure_cr_batch({}).empty());
   EXPECT_TRUE(measure_cr_batch({}, {.threads = 8}).empty());
-  EXPECT_TRUE(measure_cr_batch({}, {.threads = 8, .use_cache = false}).empty());
 }
 
 TEST(MeasureCrBatch, MoreThreadsThanJobsStaysBitIdentical) {
@@ -285,23 +181,68 @@ TEST(KProfileBatch, EmptyPositionsYieldEmptyProfile) {
   EXPECT_TRUE(k_profile_batch(fleet, 1, {}, {.threads = 8}).empty());
 }
 
-TEST(VisitCache, RobotsSharingABackendShareMemoSlots) {
-  // GroupDoubling's analytic build hands ONE AnalyticZigzag object to all
-  // n robots, so the cache collapses them to a single memo slot: the
-  // first robot's miss is every other robot's hit.
-  const GroupDoubling pack(4, 1);
-  const Fleet analytic = pack.build_unbounded_fleet();
-  const FleetVisitCache cache(analytic);
-  EXPECT_EQ(cache.slot_count(), 1u);
-  (void)cache.detection_time(3.0L, 1);
-  EXPECT_EQ(cache.misses(), 1u);                      // robot 0 computed...
-  EXPECT_EQ(cache.hits(), analytic.size() - 1);       // ...the rest reused
-  const Real direct = analytic.detection_time(3.0L, 1);
-  EXPECT_TRUE(bit_identical(direct, cache.detection_time(3.0L, 1)));
+TEST(MeasureCrBatch, GridSweepShapeMatchesSerialAtEveryThreadCount) {
+  // The offline Theorem-1 sweep shape: several regime pairs, one dense
+  // fleet per pair built to 4x its widest window, three windows in
+  // [256, 4096] per pair, every job over its pair's shared fleet.
+  const std::vector<std::pair<int, int>> pairs = {
+      {2, 1}, {3, 1}, {5, 2}, {7, 4}, {12, 11}};
+  const std::vector<Real> windows = {256, 1000, 4096, 300, 2048, 777};
+  std::vector<Fleet> fleets;
+  std::vector<CrBatchJob> jobs;
+  fleets.reserve(pairs.size());
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    Real widest = 0;
+    for (std::size_t w = 0; w < 3; ++w) {
+      widest = std::max(widest, windows[(p + w) % windows.size()]);
+    }
+    fleets.push_back(ProportionalAlgorithm(pairs[p].first, pairs[p].second)
+                         .build_fleet(4 * widest));
+  }
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    for (std::size_t w = 0; w < 3; ++w) {
+      jobs.push_back({&fleets[p],
+                      pairs[p].second,
+                      {.window_hi = windows[(p + w) % windows.size()]}});
+    }
+  }
+  std::vector<CrEvalResult> serial;
+  for (const CrBatchJob& job : jobs) {
+    serial.push_back(measure_cr(*job.fleet, job.f, job.options));
+  }
+  for (const int threads : {1, 2, 4, 8}) {
+    const std::vector<CrEvalResult> batched =
+        measure_cr_batch(jobs, {.threads = threads});
+    ASSERT_EQ(batched.size(), serial.size()) << "threads " << threads;
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_TRUE(same_result(batched[i], serial[i]))
+          << "threads " << threads << " job " << i;
+    }
+  }
+}
 
-  // Dense builds materialize per-robot copies: one slot per robot.
-  const Fleet dense = pack.build_fleet(200);
-  EXPECT_EQ(FleetVisitCache(dense).slot_count(), dense.size());
+TEST(KProfileBatch, MatchesKProfileOnSignedAndRepeatedPositions) {
+  const Fleet fleet = ProportionalAlgorithm(5, 2).build_fleet(400);
+  std::vector<Real> positions;
+  for (int i = 1; i <= 60; ++i) {
+    const Real x = 1 + 0.37L * static_cast<Real>(i % 23);
+    positions.push_back(x);
+    positions.push_back(-x);
+  }
+  positions.push_back(positions.front());  // exact repeats, both signs
+  positions.push_back(positions[1]);
+  const std::vector<Real> serial = k_profile(fleet, 2, positions);
+  for (const int threads : {1, 2, 4, 8}) {
+    const std::vector<Real> batched =
+        k_profile_batch(fleet, 2, positions, {.threads = threads});
+    ASSERT_EQ(batched.size(), serial.size()) << "threads " << threads;
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_TRUE(bit_identical(batched[i], serial[i]))
+          << "threads " << threads << " position " << i;
+    }
+    EXPECT_TRUE(k_profile_batch(fleet, 2, {}, {.threads = threads}).empty());
+  }
+  EXPECT_TRUE(k_profile(fleet, 2, {}).empty());
 }
 
 }  // namespace

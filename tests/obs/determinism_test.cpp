@@ -6,14 +6,12 @@
 
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "adversary/game.hpp"
 #include "adversary/placements.hpp"
 #include "core/algorithm.hpp"
 #include "eval/batch.hpp"
-#include "eval/visit_cache.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "util/jsonio.hpp"
@@ -52,8 +50,6 @@ TEST(ObsDeterminism, DenseBatchBitIdenticalAcrossThreadCounts) {
   if constexpr (obs::kEnabled) {
     // Non-trivial: the workload really recorded the eval counters.
     EXPECT_NE(snapshots[0].find("eval.cr.probes"), std::string::npos);
-    EXPECT_NE(snapshots[0].find("eval.visit_cache.lookups"),
-              std::string::npos);
   }
 }
 
@@ -75,58 +71,6 @@ TEST(ObsDeterminism, AdversaryGameBitIdenticalAcrossThreadCounts) {
   if constexpr (obs::kEnabled) {
     EXPECT_NE(snapshots[0].find("adversary.game.placements"),
               std::string::npos);
-  }
-}
-
-TEST(ObsDeterminism, VisitCacheStatsIndependentOfPartition) {
-  // The racy hits_/misses_ counters can differ between thread counts
-  // (concurrent double-misses); CacheStats must not — lookups is the
-  // query-stream size and entries the number of DISTINCT keys, both
-  // pure functions of the query multiset.  This accounting is part of
-  // the cache itself, so it holds even with LINESEARCH_OBS=OFF.
-  const ProportionalAlgorithm algo(5, 2);
-  const Fleet fleet = algo.build_fleet(500);
-  std::vector<Real> positions;
-  for (Real x = 1; x < 400; x *= 1.25L) {
-    positions.push_back(x);
-    positions.push_back(-x);
-    positions.push_back(x);  // deliberate repeat: guaranteed hits
-  }
-
-  const auto run = [&fleet, &positions](const int threads) {
-    const FleetVisitCache cache(fleet);
-    std::vector<std::thread> workers;
-    const std::size_t chunk =
-        (positions.size() + static_cast<std::size_t>(threads) - 1) /
-        static_cast<std::size_t>(threads);
-    for (int t = 0; t < threads; ++t) {
-      workers.emplace_back([&cache, &positions, t, chunk] {
-        const std::size_t begin = static_cast<std::size_t>(t) * chunk;
-        const std::size_t end =
-            std::min(positions.size(), begin + chunk);
-        for (std::size_t i = begin; i < end; ++i) {
-          for (RobotId id = 0; id < cache.fleet().size(); ++id) {
-            (void)cache.first_visit(id, positions[i]);
-          }
-        }
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
-    return cache.stats();
-  };
-
-  const FleetVisitCache::CacheStats serial = run(1);
-  EXPECT_GT(serial.lookups(), serial.entries());  // repeats really hit
-  for (const int threads : {2, 8}) {
-    const FleetVisitCache::CacheStats stats = run(threads);
-    EXPECT_EQ(stats.lookups(), serial.lookups()) << threads;
-    EXPECT_EQ(stats.entries(), serial.entries()) << threads;
-    EXPECT_EQ(stats.hits(), serial.hits()) << threads;
-    ASSERT_EQ(stats.slots.size(), serial.slots.size());
-    for (std::size_t slot = 0; slot < stats.slots.size(); ++slot) {
-      EXPECT_EQ(stats.slots[slot].lookups, serial.slots[slot].lookups);
-      EXPECT_EQ(stats.slots[slot].entries, serial.slots[slot].entries);
-    }
   }
 }
 

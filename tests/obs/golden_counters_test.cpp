@@ -1,9 +1,8 @@
 // Golden behavioural counters: for every feasible (n, f) regime pair
 // with n <= 12 (41 pairs, the same grid core/golden_analytic_test
-// pins), a cached CR evaluation of the unbounded analytic A(n, f) fleet
-// must reproduce the committed event counts EXACTLY — probe count,
-// visit-cache traffic (and hence hit rate), and the analytic backend's
-// window/visit query counts.  A diff here means the evaluator's work
+// pins), a batched CR evaluation of the unbounded analytic A(n, f) fleet
+// must reproduce the committed event counts EXACTLY — probe count and
+// the analytic backend's window/visit query counts.  A diff here means the evaluator's work
 // profile changed: maybe a real optimisation, maybe an accidental
 // complexity regression — either way it must be reviewed and the
 // fixture regenerated deliberately:
@@ -58,8 +57,6 @@ struct PairCounters {
   int n = 0;
   int f = 0;
   std::uint64_t probes = 0;
-  std::uint64_t lookups = 0;
-  std::uint64_t inserts = 0;
   std::uint64_t window_queries = 0;
   std::uint64_t visit_queries = 0;
   std::uint64_t lie_placements = 0;
@@ -77,10 +74,8 @@ PairCounters evaluate_pair(const int n, const int f) {
   const ProportionalAlgorithm algo(n, f);
   const Fleet fleet = algo.build_unbounded_fleet();
   obs::Registry::instance().reset();
-  // Two fault budgets over the shared fleet: the second job's probe
-  // positions repeat the first's, which is exactly the sweep shape the
-  // visit cache exists for — so the fixture pins a REAL hit rate, not
-  // the trivially-cold single-job one.
+  // Two fault budgets over the shared fleet: the sweep shape of a
+  // Theorem-1 grid row.
   const std::vector<CrBatchJob> jobs{
       {&fleet, f, {.window_lo = 1, .window_hi = 16}},
       {&fleet, f - 1, {.window_lo = 1, .window_hi = 16}}};
@@ -120,8 +115,6 @@ PairCounters evaluate_pair(const int n, const int f) {
   counters.n = n;
   counters.f = f;
   counters.probes = value_of(snaps, "eval.cr.probes");
-  counters.lookups = value_of(snaps, "eval.visit_cache.lookups");
-  counters.inserts = value_of(snaps, "eval.visit_cache.inserts");
   counters.window_queries = value_of(snaps, "sim.analytic.window_queries");
   counters.visit_queries = value_of(snaps, "sim.analytic.visit_queries");
   counters.lie_placements = value_of(snaps, "adversary.lie_placements");
@@ -144,10 +137,10 @@ std::string serialize(const std::vector<PairCounters>& pairs) {
   JsonWriter json(out);
   json.begin_object();
   // Schema /2 added the Byzantine leg (lie_placements + claims_*);
-  // schema /3 adds the probabilistic leg: the expectation engine's
-  // eval.expectation.* work profile and the query layer's
-  // svc.probabilistic_queries count per pair.
-  json.field("schema", "linesearch-golden-obs/3");
+  // schema /3 the probabilistic leg (eval.expectation.* and
+  // svc.probabilistic_queries); schema /4 drops the visit-cache
+  // lookups/inserts/hits, whose memo no longer exists.
+  json.field("schema", "linesearch-golden-obs/4");
   json.field("window_lo", 1);
   json.field("window_hi", 16);
   json.key("pairs").begin_array();
@@ -156,11 +149,6 @@ std::string serialize(const std::vector<PairCounters>& pairs) {
     json.field("n", pair.n);
     json.field("f", pair.f);
     json.field("probes", pair.probes);
-    json.field("lookups", pair.lookups);
-    json.field("inserts", pair.inserts);
-    // Derived, not stored separately: hits = lookups - inserts (the
-    // deterministic hit count; see eval/visit_cache.hpp).
-    json.field("hits", pair.lookups - pair.inserts);
     json.field("window_queries", pair.window_queries);
     json.field("visit_queries", pair.visit_queries);
     json.field("lie_placements", pair.lie_placements);
@@ -191,12 +179,9 @@ TEST(ObsGoldenCounters, AllRegimePairsMatchFixture) {
   pairs.reserve(regime_pairs.size());
   for (const auto& [n, f] : regime_pairs) {
     pairs.push_back(evaluate_pair(n, f));
-    // Sanity independent of the fixture: the scan probed something, the
-    // cache saw every probe's robot queries, and repeats really hit.
+    // Sanity independent of the fixture: the scan probed something.
     const PairCounters& counters = pairs.back();
     EXPECT_GT(counters.probes, 0u) << "n=" << n << " f=" << f;
-    EXPECT_GT(counters.lookups, counters.inserts)
-        << "n=" << n << " f=" << f << ": the second job must hit";
     EXPECT_GT(counters.lie_placements, 0u) << "n=" << n << " f=" << f;
     EXPECT_GT(counters.claims_made, 0u) << "n=" << n << " f=" << f;
     EXPECT_GT(counters.expectation_evaluations, 0u)
