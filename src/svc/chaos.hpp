@@ -17,7 +17,7 @@
 //     resilient QueryClient straight into QueryServer::handle_line
 //     through the same byte transform, with LOGICAL time (a stall
 //     surfaces as a deadline timeout instead of a sleep), which is what
-//     verify::diff_chaos_vs_library and the fuzzer's kChaosWire kind
+//     verify::diff_chaos_vs_library and the fuzzer's wire route
 //     run — fast, deterministic, no real sockets.
 //
 // Soundness of the bit-identical differential: garbage bytes are drawn

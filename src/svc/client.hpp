@@ -18,7 +18,7 @@
 // poll-bounded reads (what tools/client_main and the CI chaos replay
 // use); svc/chaos.hpp's ChaosLoopback wires the same client logic
 // straight into an in-process QueryServer under logical time (what
-// verify::diff_chaos_vs_library and the kChaosWire fuzzer kind use).
+// verify::diff_chaos_vs_library and the fuzzer's wire route use).
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,8 @@
 
 #include <charconv>
 #include <cmath>
+#include <iterator>
+#include <optional>
 #include <utility>
 
 #include "core/algorithm.hpp"
@@ -49,40 +51,72 @@ struct SvcMetrics {
   }
 };
 
-CrEvalOptions eval_options_of(const CrQuery& query,
-                              const bool require_finite) {
-  CrEvalOptions options;
-  options.window_lo = query.window_lo;
-  options.window_hi = query.window_hi;
-  options.interior_samples = query.interior_samples;
-  options.require_finite = require_finite;
-  return options;
+/// One fault regime as data.  The svc regimes differ in three ways
+/// only — the fleet transform (identity or crash truncation), the order
+/// statistic the budget selects (f, or 2f for a Byzantine quorum per
+/// arXiv:1611.08209) and the probe aggregate (worst case, or the
+/// p-faulty expectation per arXiv:2002.07797) — so every per-regime
+/// decision below reads this row instead of switching on the regime.
+struct RegimeRow {
+  FaultRegime regime;
+  const char* name;  ///< wire spelling
+  /// Dense build at crash_extent, then truncate_at_crashes at the
+  /// query's crash times; otherwise the shared unbounded analytic
+  /// backend of (n, f, beta).
+  bool truncate_dense;
+  int budget_factor;  ///< order statistic at f (1) or 2f (2)
+  bool require_finite;
+  bool expectation;  ///< measure_expected_cr at fault_p, not measure_cr
+  /// Byzantine quorum: an infeasible pair (n < 2f+1) or any undetected
+  /// probe reports cr = kInfinity, argmax = 0.
+  bool quorum;
+};
+
+constexpr RegimeRow kRegimeRows[] = {
+    {FaultRegime::kNone, "none", false, 1, true, false, false},
+    {FaultRegime::kByzantine, "byzantine", false, 2, false, false, true},
+    {FaultRegime::kCrash, "crash", true, 1, false, false, false},
+    {FaultRegime::kProbabilistic, "probabilistic", false, 1, false, true,
+     false},
+};
+static_assert(std::size(kRegimeRows) == kFaultRegimeCount);
+static_assert(
+    [] {
+      for (std::size_t i = 0; i < std::size(kRegimeRows); ++i) {
+        if (kRegimeRows[i].regime != static_cast<FaultRegime>(i)) return false;
+      }
+      return true;
+    }(),
+    "kRegimeRows must follow FaultRegime's enumerator order");
+
+const RegimeRow& row_of(const FaultRegime regime) {
+  const auto index = static_cast<std::size_t>(regime);
+  expects(index < std::size(kRegimeRows), "svc: unknown fault regime");
+  return kRegimeRows[index];
 }
 
-/// Dense extent the crash regime builds to: comfortably past the probe
-/// window so an UNcrashed fleet never leaves a probe undetected (any inf
-/// in a crash result is then attributable to the crashes themselves).
+/// Dense extent a truncating regime builds to: past the probe window, so
+/// an uncrashed fleet never leaves a probe undetected and any inf in a
+/// crash result comes from the crashes themselves.
 Real crash_extent(const CrQuery& query) { return 4 * query.window_hi; }
 
 /// The backend registry key: which immutable Fleet this query evaluates
-/// against.  kNone and kByzantine share the unbounded analytic backend
-/// of their (strategy, n, f, beta); kCrash needs the dense build at the
-/// window's extent (truncation interpolates real waypoints).
+/// against.  Analytic regimes share the unbounded backend of their
+/// (strategy, n, f, beta); a truncating regime needs the dense build at
+/// the window's extent (truncation interpolates real waypoints).
 std::string backend_key(const CrQuery& canonical) {
-  std::string key = canonical.regime == FaultRegime::kCrash ? "dense|"
-                                                            : "analytic|";
+  const bool dense = row_of(canonical.regime).truncate_dense;
+  std::string key = dense ? "dense|" : "analytic|";
   key += std::to_string(canonical.n) + '|' + std::to_string(canonical.f) +
          '|' + encode_real_field(canonical.beta);
-  if (canonical.regime == FaultRegime::kCrash) {
-    key += '|' + encode_real_field(crash_extent(canonical));
-  }
+  if (dense) key += '|' + encode_real_field(crash_extent(canonical));
   return key;
 }
 
 Fleet build_backend(const CrQuery& canonical) {
   const ProportionalAlgorithm algorithm(canonical.n, canonical.f,
                                         canonical.beta);
-  if (canonical.regime == FaultRegime::kCrash) {
+  if (row_of(canonical.regime).truncate_dense) {
     return algorithm.build_fleet(crash_extent(canonical));
   }
   return algorithm.build_unbounded_fleet();
@@ -93,74 +127,42 @@ Fleet build_backend(const CrQuery& canonical) {
 /// run, so caching layers cannot change an answered bit by construction.
 QueryResult evaluate_on_backend(const CrQuery& canonical,
                                 const Fleet& backend) {
+  const RegimeRow& row = row_of(canonical.regime);
+  CrEvalOptions eval;
+  eval.window_lo = canonical.window_lo;
+  eval.window_hi = canonical.window_hi;
+  eval.interior_samples = canonical.interior_samples;
+  eval.require_finite = row.require_finite;
+  std::optional<Fleet> truncated;
+  if (row.truncate_dense) {
+    truncated = truncate_at_crashes(backend, canonical.crash_times);
+  }
+  const Fleet& measured = truncated ? *truncated : backend;
+
+  CrEvalResult scan;
+  if (row.expectation) {
+    ExpectationOptions expectation;
+    expectation.p = canonical.fault_p;
+    expectation.eval = eval;
+    scan = measure_expected_cr(measured, expectation);
+    LS_OBS_COUNT("svc.probabilistic_queries", 1);
+  } else {
+    scan = measure_cr(measured, row.budget_factor * canonical.f, eval);
+  }
+
   QueryResult result;
-  switch (canonical.regime) {
-    case FaultRegime::kNone: {
-      const CrEvalResult scan =
-          measure_cr(backend, canonical.f,
-                     eval_options_of(canonical, /*require_finite=*/true));
-      result.cr = scan.cr;
-      result.argmax = scan.argmax;
-      result.cr_positive = scan.cr_positive;
-      result.cr_negative = scan.cr_negative;
-      result.probes = scan.probes;
-      result.undetected_probes = scan.undetected_probes;
-      break;
-    }
-    case FaultRegime::kByzantine: {
-      // The quorum scan at budget 2f — field-identical to
-      // measure_byzantine_cr (eval/byzantine), with the side suprema
-      // preserved.  Infeasible pairs (n < 2f+1) report cr = kInfinity.
-      const CrEvalResult scan =
-          measure_cr(backend, 2 * canonical.f,
-                     eval_options_of(canonical, /*require_finite=*/false));
-      result.feasible = static_cast<int>(backend.size()) >=
-                        2 * canonical.f + 1;
-      result.probes = scan.probes;
-      result.undetected_probes = scan.undetected_probes;
-      result.cr_positive = scan.cr_positive;
-      result.cr_negative = scan.cr_negative;
-      if (result.feasible && scan.undetected_probes == 0) {
-        result.cr = scan.cr;
-        result.argmax = scan.argmax;
-      } else {
-        result.cr = kInfinity;
-        result.argmax = 0;
-      }
-      break;
-    }
-    case FaultRegime::kCrash: {
-      const Fleet truncated =
-          truncate_at_crashes(backend, canonical.crash_times);
-      const CrEvalResult scan =
-          measure_cr(truncated, canonical.f,
-                     eval_options_of(canonical, /*require_finite=*/false));
-      result.cr = scan.cr;
-      result.argmax = scan.argmax;
-      result.cr_positive = scan.cr_positive;
-      result.cr_negative = scan.cr_negative;
-      result.probes = scan.probes;
-      result.undetected_probes = scan.undetected_probes;
-      break;
-    }
-    case FaultRegime::kProbabilistic: {
-      // Expected CR at fault_p (eval/expectation) on the same unbounded
-      // analytic backend kNone uses.  Divergent probes (p at or past the
-      // ladder threshold) report cr = kInfinity via the non-finite
-      // codec, exactly like an infeasible Byzantine quorum.
-      ExpectationOptions expectation;
-      expectation.p = canonical.fault_p;
-      expectation.eval = eval_options_of(canonical,
-                                         /*require_finite=*/false);
-      const CrEvalResult scan = measure_expected_cr(backend, expectation);
-      LS_OBS_COUNT("svc.probabilistic_queries", 1);
-      result.cr = scan.cr;
-      result.argmax = scan.argmax;
-      result.cr_positive = scan.cr_positive;
-      result.cr_negative = scan.cr_negative;
-      result.probes = scan.probes;
-      result.undetected_probes = scan.undetected_probes;
-      break;
+  result.cr = scan.cr;
+  result.argmax = scan.argmax;
+  result.cr_positive = scan.cr_positive;
+  result.cr_negative = scan.cr_negative;
+  result.probes = scan.probes;
+  result.undetected_probes = scan.undetected_probes;
+  if (row.quorum) {
+    result.feasible = static_cast<int>(measured.size()) >=
+                      2 * canonical.f + 1;
+    if (!result.feasible || scan.undetected_probes != 0) {
+      result.cr = kInfinity;
+      result.argmax = 0;
     }
   }
   return result;
@@ -169,22 +171,20 @@ QueryResult evaluate_on_backend(const CrQuery& canonical,
 }  // namespace
 
 const char* fault_regime_name(const FaultRegime regime) {
-  switch (regime) {
-    case FaultRegime::kNone: return "none";
-    case FaultRegime::kByzantine: return "byzantine";
-    case FaultRegime::kCrash: return "crash";
-    case FaultRegime::kProbabilistic: return "probabilistic";
-  }
-  return "unknown";
+  const auto index = static_cast<std::size_t>(regime);
+  return index < std::size(kRegimeRows) ? kRegimeRows[index].name
+                                        : "unknown";
 }
 
 FaultRegime fault_regime_from_name(const std::string& name) {
-  if (name == "none") return FaultRegime::kNone;
-  if (name == "byzantine") return FaultRegime::kByzantine;
-  if (name == "crash") return FaultRegime::kCrash;
-  if (name == "probabilistic") return FaultRegime::kProbabilistic;
+  for (const RegimeRow& row : kRegimeRows) {
+    if (name == row.name) return row.regime;
+  }
+  // Only the error path builds the list; the wire parses one per request.
+  std::string valid;
+  for (const RegimeRow& row : kRegimeRows) valid.append(", ").append(row.name);
   throw PreconditionError("svc: unknown fault regime '" + name +
-                          "' (valid: none, byzantine, crash, probabilistic)");
+                          "' (valid: " + valid.substr(2) + ")");
 }
 
 CrQuery canonicalize_query(CrQuery query) {
@@ -205,7 +205,7 @@ CrQuery canonicalize_query(CrQuery query) {
   }
   expects(std::isfinite(query.beta) && query.beta > 1,
           "svc: beta must be finite and > 1");
-  if (query.regime == FaultRegime::kCrash) {
+  if (row_of(query.regime).truncate_dense) {
     expects(query.crash_times.size() ==
                 static_cast<std::size_t>(query.n),
             "svc: crash regime needs one crash time per robot "
@@ -218,7 +218,7 @@ CrQuery canonicalize_query(CrQuery query) {
     expects(query.crash_times.empty(),
             "svc: crash_times only apply to the crash regime");
   }
-  if (query.regime == FaultRegime::kProbabilistic) {
+  if (row_of(query.regime).expectation) {
     expects(query.fault_p >= 0 && query.fault_p < 1,
             "svc: probabilistic regime needs 0 <= fault_p < 1");
   } else {

@@ -25,8 +25,9 @@
 // query.
 #pragma once
 
-#include <cstdint>
 #include <condition_variable>
+#include <cstddef>
+#include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -40,7 +41,10 @@
 
 namespace linesearch::svc {
 
-/// Which fault model the query runs under.
+/// Which fault model the query runs under.  Enumerator order is stable:
+/// seeded generators draw a regime by casting an index below
+/// kFaultRegimeCount, and query.cpp keeps one table row per regime in
+/// this order.
 enum class FaultRegime {
   kNone,       ///< f silent (blind) faults — the paper's model
   kByzantine,  ///< f lying faults: quorum CR at budget 2f (eval/byzantine)
@@ -50,6 +54,7 @@ enum class FaultRegime {
   /// distinct p is its own cache entry inside its regime pair's shard.
   kProbabilistic,
 };
+inline constexpr std::size_t kFaultRegimeCount = 4;
 
 /// Wire spelling of a regime ("none" / "byzantine" / "crash" /
 /// "probabilistic").

@@ -20,7 +20,8 @@
 //
 // `QueryServer::handle_line` is the whole protocol as a pure-ish
 // function (it only touches the QueryService): the in-process round trip
-// used by verify::diff_server_vs_library and the golden-fixture tests.
+// used by the golden-fixture tests and, behind the resilient client,
+// by verify::diff_chaos_vs_library.
 // `serve()` adds the socket machinery: a poll-based accept loop,
 // per-connection tasks on util/parallel's global pool, bounded admission
 // with backpressure (excess requests get an "overloaded" error response

@@ -19,7 +19,6 @@
 #include "svc/server.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
-#include "util/jsonio.hpp"
 #include "verify/invariants.hpp"
 
 namespace linesearch {
@@ -358,60 +357,6 @@ DifferentialResult diff_byzantine(const int n, const int f, const Real extent,
   const CrEvalResult lhs_cr = measure_cr(injected, 2 * f, relaxed);
   const CrEvalResult rhs_cr = measure_cr(built, 2 * f, relaxed);
   compare_results(result, targets.size(), lhs_cr, rhs_cr);
-  return result;
-}
-
-DifferentialResult diff_server_vs_library(const svc::CrQuery& query) {
-  DifferentialResult result;
-  result.name = "server_vs_library";
-  try {
-    const svc::QueryResult direct = svc::evaluate_query_direct(query);
-
-    // Render the wire request exactly as an external client would.
-    const std::string request = svc::render_request(1, query);
-
-    svc::QueryServer server;
-    const std::string cold = server.handle_line(request);
-    const std::string warm = server.handle_line(request);
-    if (warm != cold) {
-      result.passed = false;
-      result.message =
-          "warm response bytes differ from cold: " + warm + " vs " + cold;
-      return result;
-    }
-
-    const JsonValue doc = parse_json(cold);
-    if (!doc.at("ok").as_bool()) {
-      result.passed = false;
-      result.message = "server error: " + doc.at("error").as_string();
-      return result;
-    }
-    if (doc.at("feasible").as_bool() != direct.feasible) {
-      record(result, 0, "feasible", direct.feasible ? Real{1} : Real{0},
-             doc.at("feasible").as_bool() ? Real{1} : Real{0});
-    }
-    for (const char* field : {"cr", "argmax", "cr_positive", "cr_negative"}) {
-      const Real lhs = field == std::string("cr")            ? direct.cr
-                       : field == std::string("argmax")      ? direct.argmax
-                       : field == std::string("cr_positive")
-                           ? direct.cr_positive
-                           : direct.cr_negative;
-      const Real rhs = doc.at(field).as_real();
-      if (!value_identical(lhs, rhs)) record(result, 0, field, lhs, rhs);
-    }
-    if (doc.at("probes").as_int() != direct.probes) {
-      record(result, 0, "probes", static_cast<Real>(direct.probes),
-             static_cast<Real>(doc.at("probes").as_int()));
-    }
-    if (doc.at("undetected_probes").as_int() != direct.undetected_probes) {
-      record(result, 0, "undetected_probes",
-             static_cast<Real>(direct.undetected_probes),
-             static_cast<Real>(doc.at("undetected_probes").as_int()));
-    }
-  } catch (const Error& error) {
-    result.passed = false;
-    result.message = error.what();
-  }
   return result;
 }
 

@@ -125,17 +125,6 @@ struct DifferentialOptions {
     int n, int f, Real extent, const LiePlan& plan,
     const std::vector<Real>& targets, const CrEvalOptions& eval);
 
-/// Service wire round trip vs the library: render `query` as one wire
-/// request line, run it through an in-process QueryServer (svc/server
-/// handle_line — the full parse -> canonicalize -> cache -> evaluate ->
-/// serialize path), parse the response, and demand every QueryResult
-/// field value_identical to evaluate_query_direct on the same query.
-/// The line is sent twice; the warm (cached) response must be
-/// byte-identical to the cold one — the service determinism contract at
-/// the wire level.
-[[nodiscard]] DifferentialResult diff_server_vs_library(
-    const svc::CrQuery& query);
-
 /// Chaos wire round trip vs the library: answer `query` through the
 /// resilient client (svc/client) talking to an in-process QueryServer
 /// across svc/chaos's deterministic fault injector at `chaos_seed`

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <memory>
 #include <sstream>
 
@@ -11,7 +12,6 @@
 #include "core/custom.hpp"
 #include "eval/expectation.hpp"
 #include "obs/metrics.hpp"
-#include "runtime/world.hpp"
 #include "sim/faults.hpp"
 #include "sim/trajectory.hpp"
 #include "sim/zigzag.hpp"
@@ -22,110 +22,67 @@
 namespace linesearch {
 namespace verify {
 
-const char* kind_name(const FleetKind kind) noexcept {
-  switch (kind) {
-    case FleetKind::kProportional: return "proportional";
-    case FleetKind::kPerturbedBeta: return "perturbed-beta";
-    case FleetKind::kCustomCone: return "custom-cone";
-    case FleetKind::kGroupDoubling: return "group-doubling";
-    case FleetKind::kClassicCowPath: return "classic-cow-path";
-    case FleetKind::kUniformOffset: return "uniform-offset";
-    case FleetKind::kAnalyticZigzag: return "analytic-zigzag";
-    case FleetKind::kCrashInjected: return "crash-injected";
-    case FleetKind::kKernelSoA: return "kernel-soa";
-    case FleetKind::kByzantineLies: return "byzantine-lies";
-    case FleetKind::kServerQuery: return "server-query";
-    case FleetKind::kProbabilisticFaults: return "probabilistic-faults";
-    case FleetKind::kChaosWire: return "chaos-wire";
-  }
-  return "unknown";
-}
-
-const char* injection_name(const Injection injection) noexcept {
-  switch (injection) {
-    case Injection::kNone: return "none";
-    case Injection::kConeEscape: return "cone-escape";
-  }
-  return "unknown";
-}
-
 namespace {
 
-bool regime_kind(const FleetKind kind) noexcept {
-  return kind == FleetKind::kProportional ||
-         kind == FleetKind::kPerturbedBeta ||
-         kind == FleetKind::kUniformOffset ||
-         kind == FleetKind::kAnalyticZigzag ||
-         kind == FleetKind::kCrashInjected ||
-         kind == FleetKind::kKernelSoA ||
-         kind == FleetKind::kByzantineLies ||
-         kind == FleetKind::kServerQuery ||
-         kind == FleetKind::kProbabilisticFaults ||
-         kind == FleetKind::kChaosWire;
+/// Every drawable combination; unset fields keep FuzzRow's defaults
+/// (A(n, f), dense, plain regime, library route).  A(n, f) carries the
+/// other regimes and both routes; the remaining shapes exist to break
+/// the structural oracles' assumptions, so they run plain.
+constexpr FuzzRow kRows[] = {
+    {.name = "proportional"},
+    {.name = "perturbed-beta", .shape = Shape::kPerturbedBeta},
+    {.name = "custom-cone", .shape = Shape::kCustomCone},
+    {.name = "group-doubling", .shape = Shape::kGroupDoubling},
+    {.name = "classic-cow-path", .shape = Shape::kClassicCowPath},
+    {.name = "uniform-offset", .shape = Shape::kUniformOffset},
+    {.name = "analytic-zigzag", .analytic = true},
+    {.name = "crash-injected", .regime = svc::FaultRegime::kCrash},
+    {.name = "byzantine-lies", .regime = svc::FaultRegime::kByzantine},
+    // The expectation needs the unbounded backend: a finite visit list
+    // makes it infinite for every p > 0.
+    {.name = "probabilistic-faults",
+     .analytic = true,
+     .regime = svc::FaultRegime::kProbabilistic},
+    {.name = "clean-wire", .regime = std::nullopt, .route = Route::kWire},
+    {.name = "chaos-wire",
+     .regime = std::nullopt,
+     .route = Route::kWire,
+     .chaos = true},
+};
+
+/// Shapes built from a proportional-regime pair f < n < 2f+2.
+bool regime_shape(const Shape shape) noexcept {
+  return shape == Shape::kProportional || shape == Shape::kPerturbedBeta ||
+         shape == Shape::kUniformOffset;
 }
 
-bool cone_kind(const FleetKind kind) noexcept {
-  return kind != FleetKind::kClassicCowPath;
-}
-
-/// Smallest f with f < n < 2f+2, i.e. the regime floor floor(n/2).
-int regime_f_floor(const int n) noexcept { return n / 2; }
-
-/// Unit-speed Beck/Bellman doubling zig-zag from the origin: waypoints
-/// (0,0), (1,1), (-2,4), (4,10), ... until both half-lines reach
-/// min_coverage.  Its first waypoint (1, 1) lies strictly below the
-/// boundary t = beta*|x| of every cone with beta > 1.
-/// Strategy object behind a fuzz kind, for the dense-vs-analytic
-/// differential; null when the kind has no SearchStrategy form.
-std::unique_ptr<SearchStrategy> make_fuzz_strategy(
+/// Strategy object behind the instance's shape; null for a custom cone,
+/// which has no SearchStrategy form.
+std::unique_ptr<SearchStrategy> make_shape_strategy(
     const FuzzInstance& instance) {
-  switch (instance.kind) {
-    case FleetKind::kProportional:
-    case FleetKind::kAnalyticZigzag:
-    case FleetKind::kByzantineLies:
-    case FleetKind::kProbabilisticFaults:
+  switch (instance.shape) {
+    case Shape::kProportional:
       return std::make_unique<ProportionalAlgorithm>(instance.n, instance.f);
-    case FleetKind::kPerturbedBeta:
-    case FleetKind::kKernelSoA:
+    case Shape::kPerturbedBeta:
       return std::make_unique<ProportionalAlgorithm>(instance.n, instance.f,
                                                      instance.beta);
-    case FleetKind::kGroupDoubling:
+    case Shape::kGroupDoubling:
       return std::make_unique<GroupDoubling>(instance.n, instance.f);
-    case FleetKind::kClassicCowPath:
+    case Shape::kClassicCowPath:
       return std::make_unique<ClassicCowPath>(instance.n, instance.f,
                                               instance.mirrored);
-    case FleetKind::kUniformOffset:
+    case Shape::kUniformOffset:
       return std::make_unique<UniformOffsetZigzag>(instance.n, instance.f);
-    case FleetKind::kCustomCone:
-    case FleetKind::kCrashInjected:
-    case FleetKind::kServerQuery:
-    case FleetKind::kChaosWire:
-      // A crashed fleet is not a SearchStrategy, and the wire kinds
-      // have their own dedicated differentials (server/chaos vs
-      // library).
+    case Shape::kCustomCone:
       return nullptr;
   }
   return nullptr;
 }
 
-/// The controller team behind kCrashInjected (the crash differential
-/// rebuilds the identical team itself).
-Fleet build_crash_injected_fleet(const FuzzInstance& instance) {
-  std::vector<FaultSpec> plan;
-  plan.reserve(instance.crash_times.size());
-  for (const Real t : instance.crash_times) {
-    plan.push_back(std::isfinite(t) ? FaultSpec::crash_at(t)
-                                    : FaultSpec::none());
-  }
-  std::vector<ControllerPtr> team;
-  team.reserve(static_cast<std::size_t>(instance.n));
-  for (int robot = 0; robot < instance.n; ++robot) {
-    team.push_back(std::make_unique<ProportionalController>(
-        instance.n, instance.f, robot, instance.extent));
-  }
-  return World().execute_team(team, FaultInjector(std::move(plan)));
-}
-
+/// Unit-speed Beck/Bellman doubling zig-zag from the origin: waypoints
+/// (0,0), (1,1), (-2,4), (4,10), ... until both half-lines reach
+/// min_coverage.  Its first waypoint (1, 1) lies strictly below the
+/// boundary t = beta*|x| of every cone with beta > 1.
 Trajectory make_escape_zigzag(const Real min_coverage) {
   TrajectoryBuilder builder;
   builder.start_at(0, 0);
@@ -144,44 +101,100 @@ Trajectory make_escape_zigzag(const Real min_coverage) {
   return std::move(builder).build();
 }
 
+/// The library route's engines: the generic four plus the regime's own
+/// race and the dense-vs-analytic backend check — or, for a crashed
+/// fleet (which may leave probes undetected and is no SearchStrategy),
+/// the injected-vs-truncated crash race alone.
+void run_library_checks(const FuzzInstance& instance, const Fleet& fleet,
+                        const CrEvalOptions& eval,
+                        std::vector<DifferentialResult>& out) {
+  if (instance.regime == svc::FaultRegime::kCrash) {
+    out.push_back(diff_crash_injected(instance.n, instance.f, instance.extent,
+                                      instance.crash_times, eval));
+    return;
+  }
+  out = run_differentials(fleet, instance.f, eval);
+  if (instance.regime == svc::FaultRegime::kByzantine) {
+    // The runtime claim arbiter vs the analytic quorum evaluation under
+    // this instance's lie schedule.
+    out.push_back(diff_byzantine(instance.n, instance.f, instance.extent,
+                                 instance.lies, instance.targets, eval));
+  }
+  if (instance.regime == svc::FaultRegime::kProbabilistic) {
+    // The exact expectation engine vs a seeded Monte-Carlo realization
+    // at this instance's fault_p; the MC seed derives from the instance
+    // seed so the whole verdict replays from the seed alone.
+    out.push_back(diff_expectation_vs_montecarlo(
+        instance.n, instance.f, instance.fault_p, instance.targets,
+        instance.seed ^ 0x5eed0bab01234567ULL));
+  }
+  if (const std::unique_ptr<SearchStrategy> strategy =
+          make_shape_strategy(instance)) {
+    out.push_back(
+        diff_dense_vs_analytic(*strategy, instance.extent, instance.f, eval));
+  }
+}
+
 }  // namespace
+
+std::span<const FuzzRow> fuzz_rows() noexcept { return kRows; }
+
+const char* kind_name(const FuzzInstance& instance) noexcept {
+  for (const FuzzRow& row : kRows) {
+    if (row.shape == instance.shape && row.analytic == instance.analytic &&
+        row.route == instance.route &&
+        row.chaos == (instance.chaos_seed != 0) &&
+        (!row.regime || *row.regime == instance.regime)) {
+      return row.name;
+    }
+  }
+  return "unknown";
+}
+
+const char* injection_name(const Injection injection) noexcept {
+  switch (injection) {
+    case Injection::kNone: return "none";
+    case Injection::kConeEscape: return "cone-escape";
+  }
+  return "unknown";
+}
 
 FuzzInstance generate_instance(const std::uint64_t seed) {
   SplitMix64 rng(seed);
+  const FuzzRow& row =
+      kRows[rng.uniform_int(0, static_cast<int>(std::size(kRows)) - 1)];
   FuzzInstance instance;
   instance.seed = seed;
-  instance.kind = static_cast<FleetKind>(rng.uniform_int(0, 12));
+  instance.shape = row.shape;
+  instance.analytic = row.analytic;
+  instance.route = row.route;
+  // A wire row draws its query's regime over every svc regime.
+  instance.regime =
+      row.regime ? *row.regime
+                 : static_cast<svc::FaultRegime>(rng.uniform_int(
+                       0, static_cast<int>(svc::kFaultRegimeCount) - 1));
 
-  switch (instance.kind) {
-    case FleetKind::kProportional:
-    case FleetKind::kPerturbedBeta:
-    case FleetKind::kUniformOffset:
-    case FleetKind::kAnalyticZigzag:
-    case FleetKind::kCrashInjected:
-    case FleetKind::kKernelSoA:
-    case FleetKind::kByzantineLies:
-    case FleetKind::kServerQuery:
-    case FleetKind::kProbabilisticFaults:
-    case FleetKind::kChaosWire: {
+  switch (instance.shape) {
+    case Shape::kProportional:
+    case Shape::kPerturbedBeta:
+    case Shape::kUniformOffset: {
       instance.f = rng.uniform_int(1, 4);
       instance.n = rng.uniform_int(instance.f + 1, 2 * instance.f + 1);
-      instance.beta =
-          instance.kind == FleetKind::kPerturbedBeta ||
-                  instance.kind == FleetKind::kKernelSoA
-              ? rng.uniform(1.2L, 6.0L)
-              : optimal_beta(instance.n, instance.f);
+      instance.beta = instance.shape == Shape::kPerturbedBeta
+                          ? rng.uniform(1.2L, 6.0L)
+                          : optimal_beta(instance.n, instance.f);
       break;
     }
-    case FleetKind::kGroupDoubling:
-    case FleetKind::kClassicCowPath: {
+    case Shape::kGroupDoubling:
+    case Shape::kClassicCowPath: {
       instance.n = rng.uniform_int(1, 6);
       instance.f = rng.uniform_int(0, instance.n - 1);
       instance.beta = 3;
-      instance.mirrored = instance.kind == FleetKind::kClassicCowPath &&
+      instance.mirrored = instance.shape == Shape::kClassicCowPath &&
                           instance.n >= 2 && rng.chance(0.5L);
       break;
     }
-    case FleetKind::kCustomCone: {
+    case Shape::kCustomCone: {
       instance.beta = rng.uniform(1.5L, 4.0L);
       const Real kappa2 = expansion_factor(instance.beta) *
                           expansion_factor(instance.beta);
@@ -199,9 +212,9 @@ FuzzInstance generate_instance(const std::uint64_t seed) {
   instance.window_lo = 1;
   instance.window_hi = static_cast<Real>(1 << rng.uniform_int(2, 4));
   instance.extent = instance.window_hi * 4;
-  if (instance.kind == FleetKind::kCustomCone || regime_kind(instance.kind)) {
+  if (instance.shape == Shape::kCustomCone || regime_shape(instance.shape)) {
     // Cone fleets need extent > kappa^2 (builder precondition); regime
-    // kinds additionally need the positive turning grid to hold a full
+    // shapes additionally need the positive turning grid to hold a full
     // n-rung interleaving cycle above 1 — one whole kappa^2 period —
     // before the structural oracle can judge them.
     const Real kappa2 =
@@ -209,24 +222,14 @@ FuzzInstance generate_instance(const std::uint64_t seed) {
     instance.extent = std::max(instance.extent, kappa2 * Real{1.5L});
   }
 
-  if (instance.kind == FleetKind::kServerQuery ||
-      instance.kind == FleetKind::kChaosWire) {
-    // Which fault regime the wire query runs under; a crash query
-    // carries its schedule in crash_times (generated below, like
-    // kCrashInjected's).
-    instance.query_regime =
-        static_cast<svc::FaultRegime>(rng.uniform_int(0, 2));
-  }
-
-  if (instance.kind == FleetKind::kChaosWire) {
+  if (row.chaos) {
     // The wire fault injector's substrate: a nonzero seed (0 is the
-    // documented clean channel, reserved for the shrinker) and the
-    // per-connection fault-script cap.
+    // clean channel) and the per-connection fault-script cap.
     instance.chaos_seed = rng.next() | 1u;
     instance.chaos_fault_cap = rng.uniform_int(1, 4);
   }
 
-  if (instance.kind == FleetKind::kProbabilisticFaults) {
+  if (instance.regime == svc::FaultRegime::kProbabilistic) {
     // Both draws happen unconditionally so the stream shape is fixed;
     // one instance in five lands past the ladder threshold kappa^(-1/n)
     // (exercising the divergence contract), the rest stay comfortably
@@ -240,10 +243,7 @@ FuzzInstance generate_instance(const std::uint64_t seed) {
                            : threshold * 0.8L * unit;
   }
 
-  if (instance.kind == FleetKind::kCrashInjected ||
-      ((instance.kind == FleetKind::kServerQuery ||
-        instance.kind == FleetKind::kChaosWire) &&
-       instance.query_regime == svc::FaultRegime::kCrash)) {
+  if (instance.regime == svc::FaultRegime::kCrash) {
     // Per-robot crash schedule; both draws happen unconditionally so
     // the stream shape is fixed regardless of which robots crash.
     for (int robot = 0; robot < instance.n; ++robot) {
@@ -253,10 +253,12 @@ FuzzInstance generate_instance(const std::uint64_t seed) {
     }
   }
 
-  if (instance.kind == FleetKind::kByzantineLies) {
-    // Seeded lie schedule on the shared substrate: one draw feeds the
-    // dedicated generator, so the plan stays a pure function of the
-    // instance seed and the shrinker can mutate the record directly.
+  if (instance.regime == svc::FaultRegime::kByzantine &&
+      instance.route == Route::kLibrary) {
+    // Seeded lie schedule for the claim arbiter (the wire's Byzantine
+    // regime is the worst-case quorum and takes no schedule): one draw
+    // feeds the dedicated generator, so the plan stays a pure function
+    // of the instance seed and the shrinker can mutate it directly.
     LiePlanConfig lies;
     lies.max_liars = instance.f;
     lies.max_claims_per_liar = 2;
@@ -278,8 +280,8 @@ FuzzInstance generate_instance(const std::uint64_t seed) {
   const Fleet fleet = build_fuzz_fleet(instance);
   for (const int side : {+1, -1}) {
     int taken = 0;
-    // Windowed: finite on the analytic kind, and turns beyond the window
-    // never pass the magnitude filter below anyway.
+    // Windowed: finite on the analytic backend, and turns beyond the
+    // window never pass the magnitude filter below anyway.
     for (const Real turn : fleet.turning_positions_in(side, 0, hi)) {
       const Real magnitude = std::fabs(turn);
       if (magnitude <= lo * Real{1.01L} || magnitude >= hi * Real{0.99L}) {
@@ -290,69 +292,30 @@ FuzzInstance generate_instance(const std::uint64_t seed) {
       if (++taken == 3) break;
     }
   }
-  if (instance.kind == FleetKind::kKernelSoA) {
-    // Exact duplicates on purpose: the SoA kernel's first-occurrence
-    // dedup must treat a repeated position as one.
-    const std::size_t unique_targets = instance.targets.size();
-    for (std::size_t i = 0; i < unique_targets && i < 4; ++i) {
-      instance.targets.push_back(instance.targets[i]);
-    }
+  // Exact duplicates on purpose: the SoA kernel's first-occurrence
+  // dedup must treat a repeated position as one.
+  for (std::size_t i = 0; i < 4; ++i) {
+    instance.targets.push_back(instance.targets[i]);
   }
   return instance;
 }
 
 Fleet build_fuzz_fleet(const FuzzInstance& instance) {
-  Fleet fleet = [&instance]() -> Fleet {
-    switch (instance.kind) {
-      case FleetKind::kProportional:
-      case FleetKind::kByzantineLies:
-        // Lies never alter motion — the Byzantine fleet IS the A(n, f)
-        // fleet; only the claim stream differs (diff_byzantine's job).
-        return ProportionalAlgorithm(instance.n, instance.f)
-            .build_fleet(instance.extent);
-      case FleetKind::kPerturbedBeta:
-      case FleetKind::kKernelSoA:
-        return ProportionalAlgorithm(instance.n, instance.f, instance.beta)
-            .build_fleet(instance.extent);
-      case FleetKind::kCustomCone:
-        return build_cone_fleet(instance.beta, instance.magnitudes,
-                                instance.extent);
-      case FleetKind::kGroupDoubling:
-        return GroupDoubling(instance.n, instance.f)
-            .build_fleet(instance.extent);
-      case FleetKind::kClassicCowPath:
-        return ClassicCowPath(instance.n, instance.f, instance.mirrored)
-            .build_fleet(instance.extent);
-      case FleetKind::kUniformOffset:
-        return UniformOffsetZigzag(instance.n, instance.f)
-            .build_fleet(instance.extent);
-      case FleetKind::kAnalyticZigzag:
-      case FleetKind::kProbabilisticFaults:
-        // The same A(n, f) curves as kProportional, but on the analytic
-        // backend with an unbounded horizon — every oracle downstream
-        // must work through windowed queries only.  (The probabilistic
-        // kind needs the unbounded backend: a finite visit list makes
-        // the expectation infinite for every p > 0.)
-        return ProportionalAlgorithm(instance.n, instance.f)
-            .build_unbounded_fleet();
-      case FleetKind::kCrashInjected:
-        return build_crash_injected_fleet(instance);
-      case FleetKind::kServerQuery:
-      case FleetKind::kChaosWire: {
-        // The fleet the wire query evaluates against: plain A(n, f) for
-        // the none/byzantine regimes (lies never alter motion), the
-        // analytic truncation for a crash query.
-        Fleet built = ProportionalAlgorithm(instance.n, instance.f)
-                          .build_fleet(instance.extent);
-        if (instance.query_regime == svc::FaultRegime::kCrash) {
-          return truncate_at_crashes(built, instance.crash_times);
-        }
-        return built;
-      }
+  Fleet fleet = [&instance] {
+    const std::unique_ptr<SearchStrategy> strategy =
+        make_shape_strategy(instance);
+    if (!strategy) {
+      return build_cone_fleet(instance.beta, instance.magnitudes,
+                              instance.extent);
     }
-    throw PreconditionError("build_fuzz_fleet: unknown kind");
+    return instance.analytic ? strategy->build_unbounded_fleet()
+                             : strategy->build_fleet(instance.extent);
   }();
-
+  if (instance.regime == svc::FaultRegime::kCrash) {
+    // The svc crash transform; diff_crash_injected separately races it
+    // against an injected World run of the same controllers.
+    fleet = truncate_at_crashes(fleet, instance.crash_times);
+  }
   if (instance.injection == Injection::kConeEscape) {
     std::vector<Trajectory> robots = fleet.robots();
     // Coverage capped at 4: the violation is the FIRST waypoint, so the
@@ -369,54 +332,39 @@ Subject make_subject(const FuzzInstance& instance, const Fleet& fleet) {
   subject.fleet = &fleet;
   subject.f = instance.f;
   subject.coverage_extent = instance.extent;
-  if (cone_kind(instance.kind)) subject.beta = instance.beta;
-  switch (instance.kind) {
-    case FleetKind::kProportional:
-    case FleetKind::kByzantineLies:
-      subject.proportional = true;
+  if (instance.shape != Shape::kClassicCowPath) subject.beta = instance.beta;
+  if (instance.regime == svc::FaultRegime::kCrash) {
+    // Crashed robots stop short of the extent, so the coverage claim is
+    // withdrawn (0 => inapplicable), and so are the structure and
+    // closed-form claims; every truncated leg stays inside C_beta, so
+    // the cone claim stands.
+    subject.coverage_extent = 0;
+    return subject;
+  }
+  switch (instance.shape) {
+    case Shape::kProportional:
+      // On the analytic backend the structural re-derivation needs a
+      // materialized waypoint list, which the unbounded backend refuses;
+      // the dense-vs-analytic differential covers the structure instead.
+      subject.proportional = !instance.analytic;
       subject.theory_cr = algorithm_cr(instance.n, instance.f);
       break;
-    case FleetKind::kPerturbedBeta:
-    case FleetKind::kKernelSoA:
+    case Shape::kPerturbedBeta:
       subject.proportional = true;
       subject.theory_cr = schedule_cr(instance.n, instance.f, instance.beta);
       break;
-    case FleetKind::kGroupDoubling:
+    case Shape::kGroupDoubling:
       subject.theory_cr = Real{9};
       break;
-    case FleetKind::kClassicCowPath: {
+    case Shape::kClassicCowPath: {
       const auto theory =
           ClassicCowPath(instance.n, instance.f, instance.mirrored)
               .theoretical_cr();
       if (theory) subject.theory_cr = *theory;
       break;
     }
-    case FleetKind::kAnalyticZigzag:
-    case FleetKind::kProbabilisticFaults:
-      // Genuinely proportional, but the structural re-derivation needs a
-      // materialized waypoint list, which the unbounded backend refuses;
-      // the dense-vs-analytic differential covers the structure instead.
-      subject.theory_cr = algorithm_cr(instance.n, instance.f);
-      break;
-    case FleetKind::kCrashInjected:
-      // Crashed robots stop short of the extent, so the coverage claim
-      // is withdrawn (0 => inapplicable); the ladder is A(n, f) so the
-      // cone claim stands — every truncated leg stays inside C_beta.
-      subject.coverage_extent = 0;
-      break;
-    case FleetKind::kServerQuery:
-    case FleetKind::kChaosWire:
-      if (instance.query_regime == svc::FaultRegime::kCrash) {
-        // Same reasoning as kCrashInjected: truncated legs stay in
-        // C_beta but coverage is withdrawn.
-        subject.coverage_extent = 0;
-      } else {
-        subject.proportional = true;
-        subject.theory_cr = algorithm_cr(instance.n, instance.f);
-      }
-      break;
-    case FleetKind::kCustomCone:
-    case FleetKind::kUniformOffset:
+    case Shape::kCustomCone:
+    case Shape::kUniformOffset:
       break;
   }
   return subject;
@@ -450,7 +398,7 @@ FuzzOutcome run_instance(const FuzzInstance& instance) {
   LS_OBS_COUNT("verify.fuzz.instances", 1);
   if constexpr (obs::kEnabled) {
     obs::count_named(std::string("verify.fuzz.instances.") +
-                     kind_name(instance.kind));
+                     kind_name(instance));
   }
   FuzzOutcome outcome;
   try {
@@ -462,12 +410,10 @@ FuzzOutcome run_instance(const FuzzInstance& instance) {
     options.samples = 16;
     options.extra_positions = instance.targets;
     // A crashed fleet can leave probes undetected forever; the adversary
-    // game assumes a fully covering fleet, so crash kinds sit it out.
+    // game assumes a fully covering fleet, so the crash regime sits it
+    // out.
     options.run_theorem2_game =
-        instance.kind != FleetKind::kCrashInjected &&
-        !((instance.kind == FleetKind::kServerQuery ||
-           instance.kind == FleetKind::kChaosWire) &&
-          instance.query_regime == svc::FaultRegime::kCrash);
+        instance.regime != svc::FaultRegime::kCrash;
     outcome.invariants = run_invariants(subject, options);
 
     if (instance.injection == Injection::kNone) {
@@ -475,57 +421,20 @@ FuzzOutcome run_instance(const FuzzInstance& instance) {
       eval.window_lo = instance.window_lo;
       eval.window_hi = instance.window_hi;
       try {
-        if (instance.kind == FleetKind::kCrashInjected) {
-          // The generic engines demand finite detection everywhere; the
-          // crash kind instead races the injected World run against the
-          // analytic truncation of a clean run.
-          outcome.differentials.push_back(diff_crash_injected(
-              instance.n, instance.f, instance.extent,
-              instance.crash_times, eval));
-        } else if (instance.kind == FleetKind::kServerQuery ||
-                   instance.kind == FleetKind::kChaosWire) {
-          // Wire round trip vs the library on this instance's query —
-          // over a clean in-process wire for kServerQuery, through the
-          // seeded chaos channel + resilient client for kChaosWire.
+        if (instance.route == Route::kWire) {
           svc::CrQuery query;
           query.n = instance.n;
           query.f = instance.f;
           query.beta = instance.beta;
           query.window_lo = instance.window_lo;
           query.window_hi = instance.window_hi;
-          query.regime = instance.query_regime;
-          if (instance.query_regime == svc::FaultRegime::kCrash) {
-            query.crash_times = instance.crash_times;
-          }
-          if (instance.kind == FleetKind::kChaosWire) {
-            outcome.differentials.push_back(diff_chaos_vs_library(
-                query, instance.chaos_seed, instance.chaos_fault_cap));
-          } else {
-            outcome.differentials.push_back(diff_server_vs_library(query));
-          }
+          query.regime = instance.regime;
+          query.crash_times = instance.crash_times;
+          query.fault_p = instance.fault_p;
+          outcome.differentials.push_back(diff_chaos_vs_library(
+              query, instance.chaos_seed, instance.chaos_fault_cap));
         } else {
-          outcome.differentials = run_differentials(fleet, instance.f, eval);
-        }
-        if (instance.kind == FleetKind::kByzantineLies) {
-          // Race the runtime claim arbiter against the analytic quorum
-          // evaluation under this instance's lie schedule.
-          outcome.differentials.push_back(
-              diff_byzantine(instance.n, instance.f, instance.extent,
-                             instance.lies, instance.targets, eval));
-        }
-        if (instance.kind == FleetKind::kProbabilisticFaults) {
-          // Race the exact expectation engine against the seeded
-          // Monte-Carlo realization at this instance's fault_p; the MC
-          // seed is derived from the instance seed so the whole verdict
-          // replays from the seed alone.
-          outcome.differentials.push_back(diff_expectation_vs_montecarlo(
-              instance.n, instance.f, instance.fault_p, instance.targets,
-              instance.seed ^ 0x5eed0bab01234567ULL));
-        }
-        if (const std::unique_ptr<SearchStrategy> strategy =
-                make_fuzz_strategy(instance)) {
-          outcome.differentials.push_back(diff_dense_vs_analytic(
-              *strategy, instance.extent, instance.f, eval));
+          run_library_checks(instance, fleet, eval, outcome.differentials);
         }
       } catch (const Error& error) {
         DifferentialResult failed;
@@ -548,24 +457,18 @@ FuzzOutcome run_instance(const FuzzInstance& instance) {
 namespace {
 
 /// Re-clamp (n, f) after a robot drop so every builder precondition
-/// still holds; regime kinds additionally need f < n < 2f+2, and kinds
+/// still holds; regime shapes additionally need f < n < 2f+2, and shapes
 /// whose builder derives beta from (n, f) get the claim re-derived so
 /// the Subject keeps describing the fleet actually built.
 void clamp_faults(FuzzInstance& instance) {
   instance.f = std::min(instance.f, instance.n - 1);
-  if (regime_kind(instance.kind)) {
-    instance.f = std::max({instance.f, regime_f_floor(instance.n), 1});
+  if (regime_shape(instance.shape)) {
+    instance.f = std::max({instance.f, instance.n / 2, 1});
   }
   instance.f = std::max(instance.f, 0);
   if (instance.n < 2) instance.mirrored = false;
-  if (instance.kind == FleetKind::kProportional ||
-      instance.kind == FleetKind::kUniformOffset ||
-      instance.kind == FleetKind::kAnalyticZigzag ||
-      instance.kind == FleetKind::kCrashInjected ||
-      instance.kind == FleetKind::kByzantineLies ||
-      instance.kind == FleetKind::kServerQuery ||
-      instance.kind == FleetKind::kProbabilisticFaults ||
-      instance.kind == FleetKind::kChaosWire) {
+  if (instance.shape == Shape::kProportional ||
+      instance.shape == Shape::kUniformOffset) {
     instance.beta = optimal_beta(instance.n, instance.f);
   }
   while (instance.crash_times.size() >
@@ -605,7 +508,7 @@ std::vector<FuzzInstance> shrink_moves(const FuzzInstance& instance) {
     moves.push_back(std::move(fewer));
   }
 
-  if (instance.kind == FleetKind::kCustomCone) {
+  if (instance.shape == Shape::kCustomCone) {
     if (instance.magnitudes.size() > 1) {
       FuzzInstance dropped = instance;
       dropped.magnitudes.pop_back();
@@ -613,8 +516,8 @@ std::vector<FuzzInstance> shrink_moves(const FuzzInstance& instance) {
       clamp_faults(dropped);
       moves.push_back(std::move(dropped));
     }
-  } else if (instance.n > (regime_kind(instance.kind) ? 2 : 1)) {
-    // Regime kinds bottom out at (n, f) = (2, 1), the smallest pair with
+  } else if (instance.n > (regime_shape(instance.shape) ? 2 : 1)) {
+    // Regime shapes bottom out at (n, f) = (2, 1), the smallest pair with
     // 1 <= f < n < 2f+2.
     FuzzInstance dropped = instance;
     dropped.n -= 1;
@@ -623,7 +526,7 @@ std::vector<FuzzInstance> shrink_moves(const FuzzInstance& instance) {
   }
 
   Real extent_floor = 4;
-  if (instance.kind == FleetKind::kCustomCone || regime_kind(instance.kind)) {
+  if (instance.shape == Shape::kCustomCone || regime_shape(instance.shape)) {
     const Real kappa2 =
         expansion_factor(instance.beta) * expansion_factor(instance.beta);
     extent_floor = std::max(extent_floor, kappa2 * Real{1.25L});
@@ -645,14 +548,13 @@ std::vector<FuzzInstance> shrink_moves(const FuzzInstance& instance) {
     moves.push_back(std::move(narrower));
   }
 
-  if (instance.kind == FleetKind::kPerturbedBeta ||
-      instance.kind == FleetKind::kCustomCone ||
-      instance.kind == FleetKind::kKernelSoA) {
+  if (instance.shape == Shape::kPerturbedBeta ||
+      instance.shape == Shape::kCustomCone) {
     const Real rounded = std::max(Real{1.5L}, std::round(instance.beta));
     if (!value_identical(rounded, instance.beta)) {
       FuzzInstance rounder = instance;
       rounder.beta = rounded;
-      if (rounder.kind == FleetKind::kCustomCone) {
+      if (rounder.shape == Shape::kCustomCone) {
         const Real kappa2 =
             expansion_factor(rounder.beta) * expansion_factor(rounder.beta);
         for (Real& magnitude : rounder.magnitudes) {
@@ -664,7 +566,7 @@ std::vector<FuzzInstance> shrink_moves(const FuzzInstance& instance) {
     }
   }
 
-  if (instance.kind == FleetKind::kCustomCone) {
+  if (instance.shape == Shape::kCustomCone) {
     FuzzInstance rounder = instance;
     bool changed = false;
     for (Real& magnitude : rounder.magnitudes) {
@@ -678,38 +580,36 @@ std::vector<FuzzInstance> shrink_moves(const FuzzInstance& instance) {
     if (changed) moves.push_back(std::move(rounder));
   }
 
-  if (instance.kind == FleetKind::kChaosWire) {
+  if (instance.chaos_seed != 0) {
     // Simplest first: the clean channel (chaos_seed = 0).  If the
     // failure survives, it is a server/protocol bug, not a fault-
     // injection artifact — a strictly simpler repro.
-    if (instance.chaos_seed != 0) {
-      FuzzInstance clean = instance;
-      clean.chaos_seed = 0;
-      moves.push_back(std::move(clean));
-    }
+    FuzzInstance clean = instance;
+    clean.chaos_seed = 0;
+    moves.push_back(std::move(clean));
     // Then a shorter fault script: walk the per-connection cap down to
     // one fault, minimizing the (seed, fault-script) pair in the repro.
-    if (instance.chaos_seed != 0 && instance.chaos_fault_cap > 1) {
+    if (instance.chaos_fault_cap > 1) {
       FuzzInstance fewer = instance;
       fewer.chaos_fault_cap -= 1;
       moves.push_back(std::move(fewer));
     }
   }
 
-  if ((instance.kind == FleetKind::kServerQuery ||
-       instance.kind == FleetKind::kChaosWire) &&
-      instance.query_regime != svc::FaultRegime::kNone) {
-    // Simplest first: the plain regime (drops the crash schedule too).
+  if (instance.route == Route::kWire &&
+      instance.regime != svc::FaultRegime::kNone) {
+    // On the wire the regime is just a query parameter: simplest first
+    // is the plain regime (dropping the crash schedule and fault_p).
+    // The library route keeps its regime — it selects the engine under
+    // test.
     FuzzInstance plain = instance;
-    plain.query_regime = svc::FaultRegime::kNone;
+    plain.regime = svc::FaultRegime::kNone;
     plain.crash_times.clear();
+    plain.fault_p = 0;
     moves.push_back(std::move(plain));
   }
 
-  if (instance.kind == FleetKind::kCrashInjected ||
-      ((instance.kind == FleetKind::kServerQuery ||
-        instance.kind == FleetKind::kChaosWire) &&
-       instance.query_regime == svc::FaultRegime::kCrash)) {
+  if (instance.regime == svc::FaultRegime::kCrash) {
     bool any_crash = false;
     for (const Real t : instance.crash_times) {
       if (std::isfinite(t)) any_crash = true;
@@ -736,7 +636,7 @@ std::vector<FuzzInstance> shrink_moves(const FuzzInstance& instance) {
     }
   }
 
-  if (instance.kind == FleetKind::kProbabilisticFaults &&
+  if (instance.regime == svc::FaultRegime::kProbabilistic &&
       instance.fault_p > 0) {
     // Simplest first: no failures at all (the bitwise p = 0 branch).
     FuzzInstance faultfree = instance;
@@ -755,8 +655,7 @@ std::vector<FuzzInstance> shrink_moves(const FuzzInstance& instance) {
     }
   }
 
-  if (instance.kind == FleetKind::kByzantineLies &&
-      instance.lies.liar_count() > 0) {
+  if (instance.lies.liar_count() > 0) {
     // Simplest first: everyone honest (a plain A(n, f) instance).
     FuzzInstance honest = instance;
     std::fill(honest.lies.liar.begin(), honest.lies.liar.end(), false);
@@ -838,10 +737,10 @@ std::string instance_to_json(const FuzzInstance& instance,
   JsonWriter json(out);
   json.begin_object();
   json.field("seed", std::to_string(instance.seed));
-  json.field("kind", kind_name(instance.kind));
+  json.field("kind", kind_name(instance));
   json.field("injection", injection_name(instance.injection));
   json.field("query_regime",
-             svc::fault_regime_name(instance.query_regime));
+             svc::fault_regime_name(instance.regime));
   json.field("n", instance.n);
   json.field("f", instance.f);
   json.field("beta", instance.beta);
@@ -850,7 +749,7 @@ std::string instance_to_json(const FuzzInstance& instance,
   json.field("chaos_seed", std::to_string(instance.chaos_seed));
   json.field("chaos_fault_cap", instance.chaos_fault_cap);
   json.key("chaos_scripts").begin_array();
-  if (instance.kind == FleetKind::kChaosWire) {
+  if (instance.chaos_seed != 0) {
     // The realized fault scripts for the first few connections: with
     // chaos_seed they ARE the minimal repro's fault script (a pure
     // function of (seed, connection, direction)).
@@ -924,6 +823,12 @@ CorpusReport run_corpus(const std::uint64_t first_seed, const int count) {
     const std::uint64_t seed = first_seed + static_cast<std::uint64_t>(i);
     const FuzzOutcome outcome = run_instance(generate_instance(seed));
     report.total += 1;
+    for (const InvariantResult& result : outcome.invariants) {
+      if (result.applicable) report.checks.insert(result.name);
+    }
+    for (const DifferentialResult& result : outcome.differentials) {
+      if (result.applicable) report.checks.insert(result.name);
+    }
     if (!outcome.ok()) {
       report.failed += 1;
       report.failing_seeds.push_back(seed);

@@ -1,11 +1,13 @@
 // verify/fuzz.hpp — seeded strategy fuzzer with greedy failure shrinking.
 //
-// A fuzz instance is a small record (strategy family, n, f, beta,
-// magnitudes, window, adversarial targets) generated deterministically
-// from a 64-bit seed: same seed, same instance, same verdict, on every
-// machine.  Running an instance builds the fleet, runs every invariant
-// oracle of verify/invariants and (for valid fleets) every differential
-// engine of verify/differential.
+// A fuzz instance is a small record — a fleet shape, a fault regime and
+// a route (library engines or the service wire), plus n, f, beta,
+// magnitudes, window and adversarial targets — generated
+// deterministically from a 64-bit seed: same seed, same instance, same
+// verdict, on every machine.  One row table names the drawable
+// combinations.  Running an instance builds the fleet, runs every
+// invariant oracle of verify/invariants and (for valid fleets) the
+// route's differential engines of verify/differential.
 //
 // On failure the instance is shrunk greedily — drop robots, halve the
 // extent and window, round parameters, drop targets — accepting a move
@@ -20,6 +22,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,46 +44,37 @@ namespace verify {
 /// verify::SplitMix64 spelling (and its streams) intact.
 using ::linesearch::SplitMix64;
 
-/// Strategy families the generator draws from.
-enum class FleetKind {
+/// Fleet shapes the generator draws from.
+enum class Shape {
   kProportional,    ///< A(n, f) — optimal beta
   kPerturbedBeta,   ///< S_beta(n) with a random beta != beta*
   kCustomCone,      ///< build_cone_fleet with random magnitudes
   kGroupDoubling,   ///< all robots on one cone-doubling zig-zag
   kClassicCowPath,  ///< non-cone Beck/Bellman doubling (optionally mirrored)
   kUniformOffset,   ///< arithmetic first-turn spread (ablation foil)
-  kAnalyticZigzag,  ///< A(n, f) on the analytic (unbounded) backend
-  kCrashInjected,   ///< A(n, f) executed under a crash-stop FaultInjector
-  /// S_beta(n) with a random beta whose target list carries exact
-  /// duplicates — aimed at the SoA kernel path (probe dedup, batched
-  /// sweeps, scalar-vs-SIMD differential).
-  kKernelSoA,
-  /// A(n, f) with a seeded per-robot lie schedule (sim/faults LiePlan):
-  /// the instance races the runtime claim arbiter against the analytic
-  /// quorum-cost evaluation (diff_byzantine) on the fuzzer's adversarial
-  /// targets, and the byzantine_bounds oracle checks the 1611.08209
-  /// bounds on the same fleet.
-  kByzantineLies,
-  /// A random CrQuery (plain / byzantine / crash regime) round-tripped
-  /// through the in-process query service wire (svc/server) and raced
-  /// against evaluate_query_direct (diff_server_vs_library).
-  kServerQuery,
-  /// A(n, f) on the analytic backend under per-visit iid probe failures
-  /// at the instance's fault_p: the exact expectation engine
-  /// (eval/expectation) is raced against a seeded Monte-Carlo
-  /// realization of the same fault model
-  /// (diff_expectation_vs_montecarlo) on the adversarial targets, with
-  /// occasional draws past the ladder threshold so the divergence
-  /// branch stays exercised.
-  kProbabilisticFaults,
-  /// A random CrQuery answered through a CHAOS channel: the resilient
-  /// client (svc/client) talks to the in-process server through
-  /// svc/chaos's deterministic wire fault injector (garbage bytes,
-  /// splits, merges, stalls, disconnects — a pure function of
-  /// chaos_seed), and diff_chaos_vs_library demands the answer be
-  /// byte-identical to the offline library's rendering anyway.
-  kChaosWire,
 };
+
+/// Which code path answers the instance: the library engines, or the
+/// instance's CrQuery through the resilient client and an in-process
+/// server over a channel faulted at chaos_seed (diff_chaos_vs_library).
+enum class Route { kLibrary, kWire };
+
+/// One drawable (shape, regime, route) combination.  The name is the
+/// `fuzz_main --kind` and JSON "kind" spelling; nothing dispatches on a
+/// row — generation copies its fields into the instance and every later
+/// step reads the shape, the regime or the route.
+struct FuzzRow {
+  const char* name = "";
+  Shape shape = Shape::kProportional;
+  bool analytic = false;  ///< build on the unbounded analytic backend
+  /// The row's fault regime; nullopt draws one over every svc regime.
+  std::optional<svc::FaultRegime> regime = svc::FaultRegime::kNone;
+  Route route = Route::kLibrary;
+  bool chaos = false;  ///< wire route through a nonzero chaos_seed
+};
+
+/// The generator's row table, in draw order.
+[[nodiscard]] std::span<const FuzzRow> fuzz_rows() noexcept;
 
 /// Deliberate corruptions for testing the oracles and the shrinker.
 enum class Injection {
@@ -90,42 +86,51 @@ enum class Injection {
   kConeEscape,
 };
 
-[[nodiscard]] const char* kind_name(FleetKind kind) noexcept;
 [[nodiscard]] const char* injection_name(Injection injection) noexcept;
 
 /// One fuzz case.  Every field is derived from `seed` by
 /// generate_instance; the shrinker then mutates the record directly.
 struct FuzzInstance {
   std::uint64_t seed = 0;
-  FleetKind kind = FleetKind::kProportional;
+  Shape shape = Shape::kProportional;
+  /// kProportional only: the same curves on the analytic (unbounded)
+  /// backend, so every oracle works through windowed queries.
+  bool analytic = false;
+  /// The library route's regime race, or the wire query's regime.
+  svc::FaultRegime regime = svc::FaultRegime::kNone;
+  Route route = Route::kLibrary;
   Injection injection = Injection::kNone;
   int n = 3;
   int f = 1;
-  Real beta = 3;                ///< cone kinds; ignored by cow-path kinds
+  Real beta = 3;                ///< cone shapes; ignored by kClassicCowPath
   bool mirrored = false;        ///< kClassicCowPath only
   std::vector<Real> magnitudes; ///< kCustomCone only, each in [1, kappa^2)
   Real extent = 64;
   Real window_lo = 1;
   Real window_hi = 16;
-  std::vector<Real> targets;    ///< adversarial probe positions (signed)
-  /// kCrashInjected only: per-robot crash-stop times (kInfinity =
-  /// healthy).  Size n when present.
+  /// Adversarial probe positions (signed); the leading entries repeat
+  /// bit-for-bit, so the SoA kernel's first-occurrence dedup is raced
+  /// on every library-route instance.
+  std::vector<Real> targets;
+  /// kCrash only: per-robot crash-stop times (kInfinity = healthy).
+  /// Size n when present.
   std::vector<Real> crash_times;
-  /// kByzantineLies only: per-robot lie schedule (size n when present;
-  /// liar_count <= f always).
+  /// kByzantine on the library route only: per-robot lie schedule (size
+  /// n when present; liar_count <= f always).
   LiePlan lies;
-  /// kServerQuery / kChaosWire: which fault regime the wire query runs
-  /// under (kCrash reuses crash_times as the query's schedule).
-  svc::FaultRegime query_regime = svc::FaultRegime::kNone;
-  /// kProbabilisticFaults only: per-visit failure probability in [0, 1).
+  /// kProbabilistic only: per-visit failure probability in [0, 1).
   Real fault_p = 0;
-  /// kChaosWire only: the wire fault injector's seed (0 = clean channel
-  /// — the shrinker's first move, separating transport bugs from
+  /// kWire only: the wire fault injector's seed (0 = clean channel —
+  /// also the shrinker's first move, separating transport bugs from
   /// server bugs) and the per-connection fault-script cap the shrinker
   /// walks down to minimize the failing script.
   std::uint64_t chaos_seed = 0;
   int chaos_fault_cap = 3;
 };
+
+/// The name of the row `instance` belongs to ("unknown" for a
+/// hand-built combination no row draws).
+[[nodiscard]] const char* kind_name(const FuzzInstance& instance) noexcept;
 
 /// Everything one run produced.
 struct FuzzOutcome {
@@ -175,6 +180,9 @@ struct CorpusReport {
   int total = 0;
   int failed = 0;
   std::vector<std::uint64_t> failing_seeds;
+  /// Names of every applicable invariant and differential the sweep
+  /// ran, so a check that silently stops running is visible.
+  std::set<std::string> checks;
 };
 [[nodiscard]] CorpusReport run_corpus(std::uint64_t first_seed, int count);
 

@@ -206,7 +206,7 @@ TEST(QueryClient, RejectsUnparseableRequestLinesAndBadIds) {
 /// The headline property, end to end: through chaotic channels at many
 /// seeds, the client's answer — when it answers — is byte-identical to
 /// the offline library's rendering.  (The full 120-seed corpus runs in
-/// the fuzzer's kChaosWire kind; this is the direct unit-level pin.)
+/// the fuzzer's chaos-wire row; this is the direct unit-level pin.)
 TEST(QueryClient, NeverReturnsAWrongAnswerThroughChaos) {
   CrQuery query;
   query.n = 3;

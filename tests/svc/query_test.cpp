@@ -10,6 +10,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <iterator>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -99,6 +101,28 @@ TEST(CrQueryShard, KeysByRegimePairWithinBounds) {
     EXPECT_LT(query_shard(a, shards), shards);
     // Same regime pair, different window: same shard.
     EXPECT_EQ(query_shard(a, shards), query_shard(b, shards));
+  }
+}
+
+TEST(FaultRegimeName, RoundTripsEveryRegimeAndListsThemOnError) {
+  // The regime table's wire spellings, in FaultRegime order.
+  const char* const names[] = {"none", "byzantine", "crash",
+                               "probabilistic"};
+  ASSERT_EQ(std::size(names), kFaultRegimeCount);
+  for (std::size_t i = 0; i < kFaultRegimeCount; ++i) {
+    const auto regime = static_cast<FaultRegime>(i);
+    EXPECT_STREQ(fault_regime_name(regime), names[i]);
+    EXPECT_EQ(fault_regime_from_name(names[i]), regime);
+  }
+  try {
+    (void)fault_regime_from_name("lying");
+    FAIL() << "an unknown regime name must throw";
+  } catch (const PreconditionError& error) {
+    EXPECT_NE(std::string(error.what())
+                  .find("unknown fault regime 'lying' (valid: none, "
+                        "byzantine, crash, probabilistic)"),
+              std::string::npos)
+        << error.what();
   }
 }
 

@@ -14,9 +14,11 @@ namespace verify {
 namespace {
 
 bool same_instance(const FuzzInstance& a, const FuzzInstance& b) {
-  if (a.seed != b.seed || a.kind != b.kind || a.injection != b.injection ||
-      a.n != b.n || a.f != b.f || a.mirrored != b.mirrored ||
-      a.query_regime != b.query_regime) {
+  if (a.seed != b.seed || a.shape != b.shape || a.analytic != b.analytic ||
+      a.regime != b.regime || a.route != b.route ||
+      a.injection != b.injection || a.n != b.n || a.f != b.f ||
+      a.mirrored != b.mirrored || a.chaos_seed != b.chaos_seed ||
+      a.chaos_fault_cap != b.chaos_fault_cap) {
     return false;
   }
   if (!value_identical(a.fault_p, b.fault_p)) return false;
@@ -84,11 +86,29 @@ TEST(Fuzz, GenerationIsDeterministic) {
 }
 
 TEST(Fuzz, SeedsCoverEveryFleetKind) {
-  std::set<FleetKind> kinds;
-  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
-    kinds.insert(generate_instance(seed).kind);
+  // Every row of the generator's table is drawn somewhere in the pinned
+  // corpus seeds, so no (shape, regime, route) combination goes unrun.
+  std::set<std::string> kinds;
+  for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+    kinds.insert(kind_name(generate_instance(seed)));
   }
-  EXPECT_EQ(kinds.size(), 12u);
+  EXPECT_EQ(kinds.size(), fuzz_rows().size());
+  for (const FuzzRow& row : fuzz_rows()) {
+    EXPECT_EQ(kinds.count(row.name), 1u) << row.name;
+  }
+}
+
+TEST(Fuzz, ChaosWireAtSeedZeroIsCleanWire) {
+  // The clean wire is the chaos wire at chaos_seed 0: the shrinker's
+  // first chaos move turns one row into the other.
+  for (std::uint64_t seed = 1;; ++seed) {
+    FuzzInstance instance = generate_instance(seed);
+    if (kind_name(instance) != std::string("chaos-wire")) continue;
+    EXPECT_NE(instance.chaos_seed, 0u);
+    instance.chaos_seed = 0;
+    EXPECT_STREQ(kind_name(instance), "clean-wire");
+    break;
+  }
 }
 
 TEST(Fuzz, GeneratedInstancesAreValid) {
@@ -111,7 +131,7 @@ TEST(Fuzz, CleanSeedRunsAllOracles) {
   // with the fullest engine set.
   for (std::uint64_t seed = 1;; ++seed) {
     const FuzzInstance instance = generate_instance(seed);
-    if (instance.kind != FleetKind::kByzantineLies) continue;
+    if (kind_name(instance) != std::string("byzantine-lies")) continue;
     const FuzzOutcome outcome = run_instance(instance);
     EXPECT_TRUE(outcome.ok()) << outcome.describe();
     EXPECT_EQ(outcome.invariants.size(), 11u);
@@ -127,7 +147,7 @@ TEST(Fuzz, ConeEscapeInjectionFailsConeOracle) {
   // Find an injectable (cone-claiming) seed deterministically.
   for (std::uint64_t seed = 1;; ++seed) {
     FuzzInstance instance = generate_instance(seed);
-    if (instance.kind == FleetKind::kClassicCowPath) continue;
+    if (instance.shape == Shape::kClassicCowPath) continue;
     instance.injection = Injection::kConeEscape;
     const FuzzOutcome outcome = run_instance(instance);
     EXPECT_FALSE(outcome.ok());
@@ -141,7 +161,7 @@ TEST(Fuzz, ConeEscapeInjectionFailsConeOracle) {
 TEST(Fuzz, ShrinkerReducesInjectedViolationToMinimalRepro) {
   for (std::uint64_t seed = 1;; ++seed) {
     FuzzInstance instance = generate_instance(seed);
-    if (instance.kind == FleetKind::kClassicCowPath) continue;
+    if (instance.shape == Shape::kClassicCowPath) continue;
     if (instance.n < 4) continue;  // start from a genuinely large case
     instance.injection = Injection::kConeEscape;
 
@@ -187,7 +207,7 @@ TEST(Fuzz, CrashKindInstancesCarryACrashSchedule) {
   int crash_seeds = 0;
   for (std::uint64_t seed = 1; seed <= 120; ++seed) {
     const FuzzInstance instance = generate_instance(seed);
-    if (instance.kind != FleetKind::kCrashInjected) continue;
+    if (kind_name(instance) != std::string("crash-injected")) continue;
     ++crash_seeds;
     EXPECT_EQ(instance.crash_times.size(),
               static_cast<std::size_t>(instance.n))
@@ -207,7 +227,7 @@ TEST(Fuzz, CrashKindRunsTheCrashDifferential) {
   // sits out the Theorem 2 adversary game.
   for (std::uint64_t seed = 1;; ++seed) {
     const FuzzInstance instance = generate_instance(seed);
-    if (instance.kind != FleetKind::kCrashInjected) continue;
+    if (kind_name(instance) != std::string("crash-injected")) continue;
     const FuzzOutcome outcome = run_instance(instance);
     EXPECT_TRUE(outcome.ok()) << outcome.describe();
     EXPECT_EQ(outcome.invariants.size(), 11u);
@@ -220,7 +240,7 @@ TEST(Fuzz, CrashKindRunsTheCrashDifferential) {
 TEST(Fuzz, CrashKindJsonRecordsTheSchedule) {
   for (std::uint64_t seed = 1;; ++seed) {
     const FuzzInstance instance = generate_instance(seed);
-    if (instance.kind != FleetKind::kCrashInjected) continue;
+    if (kind_name(instance) != std::string("crash-injected")) continue;
     const FuzzOutcome outcome = run_instance(instance);
     const std::string json = instance_to_json(instance, outcome);
     EXPECT_NE(json.find("\"kind\": \"crash-injected\""), std::string::npos)
@@ -230,37 +250,36 @@ TEST(Fuzz, CrashKindJsonRecordsTheSchedule) {
   }
 }
 
-TEST(Fuzz, KernelKindCarriesDuplicateTargets) {
-  // The kernel-soa kind exists to stress exact-duplicate handling: its
-  // target list repeats its leading entries bit-for-bit, and the
-  // instance still passes every oracle and differential (including
-  // scalar_vs_simd).
-  int kernel_seeds = 0;
+TEST(Fuzz, EveryInstanceCarriesDuplicateTargets) {
+  // Exact-duplicate targets ride on every instance, so the SoA kernel's
+  // first-occurrence dedup is raced wherever the library engines run:
+  // the target list repeats its leading entries bit-for-bit, and the
+  // first library-route instance still passes every oracle and
+  // differential (including scalar_vs_simd).
+  bool ran_library = false;
   for (std::uint64_t seed = 1; seed <= 120; ++seed) {
     const FuzzInstance instance = generate_instance(seed);
-    if (instance.kind != FleetKind::kKernelSoA) continue;
-    ++kernel_seeds;
-    ASSERT_GE(instance.targets.size(), 8u) << seed;
-    bool any_duplicate = false;
-    for (std::size_t i = 0; i < instance.targets.size(); ++i) {
-      for (std::size_t j = i + 1; j < instance.targets.size(); ++j) {
-        if (value_identical(instance.targets[i], instance.targets[j])) {
-          any_duplicate = true;
-        }
-      }
+    ASSERT_GE(instance.targets.size(), 10u) << seed;
+    const std::size_t unique_targets = instance.targets.size() - 4;
+    for (std::size_t i = 0; i < 4; ++i) {
+      EXPECT_TRUE(value_identical(instance.targets[unique_targets + i],
+                                  instance.targets[i]))
+          << seed;
     }
-    EXPECT_TRUE(any_duplicate) << seed;
-    if (kernel_seeds == 1) {
-      const FuzzOutcome outcome = run_instance(instance);
-      EXPECT_TRUE(outcome.ok()) << outcome.describe();
-      bool ran_scalar_vs_simd = false;
-      for (const DifferentialResult& result : outcome.differentials) {
-        if (result.name == "scalar_vs_simd") ran_scalar_vs_simd = true;
-      }
-      EXPECT_TRUE(ran_scalar_vs_simd);
+    if (ran_library || instance.route != Route::kLibrary ||
+        instance.regime == svc::FaultRegime::kCrash) {
+      continue;
     }
+    ran_library = true;
+    const FuzzOutcome outcome = run_instance(instance);
+    EXPECT_TRUE(outcome.ok()) << outcome.describe();
+    bool ran_scalar_vs_simd = false;
+    for (const DifferentialResult& result : outcome.differentials) {
+      if (result.name == "scalar_vs_simd") ran_scalar_vs_simd = true;
+    }
+    EXPECT_TRUE(ran_scalar_vs_simd) << seed;
   }
-  EXPECT_GT(kernel_seeds, 0);
+  EXPECT_TRUE(ran_library);
 }
 
 TEST(Fuzz, ByzantineKindCarriesALiePlanAndRunsItsDifferential) {
@@ -271,7 +290,7 @@ TEST(Fuzz, ByzantineKindCarriesALiePlanAndRunsItsDifferential) {
   int byzantine_seeds = 0;
   for (std::uint64_t seed = 1; seed <= 120; ++seed) {
     const FuzzInstance instance = generate_instance(seed);
-    if (instance.kind != FleetKind::kByzantineLies) continue;
+    if (kind_name(instance) != std::string("byzantine-lies")) continue;
     ++byzantine_seeds;
     EXPECT_EQ(instance.lies.size(), static_cast<std::size_t>(instance.n))
         << seed;
@@ -307,7 +326,7 @@ TEST(Fuzz, ByzantineKindCarriesALiePlanAndRunsItsDifferential) {
 TEST(Fuzz, ByzantineKindJsonRecordsTheLieSchedule) {
   for (std::uint64_t seed = 1;; ++seed) {
     const FuzzInstance instance = generate_instance(seed);
-    if (instance.kind != FleetKind::kByzantineLies) continue;
+    if (kind_name(instance) != std::string("byzantine-lies")) continue;
     const FuzzOutcome outcome = run_instance(instance);
     const std::string json = instance_to_json(instance, outcome);
     EXPECT_NE(json.find("\"kind\": \"byzantine-lies\""), std::string::npos)
@@ -324,7 +343,7 @@ TEST(Fuzz, ShrinkerReducesByzantineInstanceToAtMostThreeRobots) {
   // repro an actual arbitration bug would be reported as.
   for (std::uint64_t seed = 1;; ++seed) {
     FuzzInstance instance = generate_instance(seed);
-    if (instance.kind != FleetKind::kByzantineLies) continue;
+    if (kind_name(instance) != std::string("byzantine-lies")) continue;
     if (instance.n < 4) continue;  // start from a genuinely large case
     instance.injection = Injection::kConeEscape;
 
@@ -332,7 +351,7 @@ TEST(Fuzz, ShrinkerReducesByzantineInstanceToAtMostThreeRobots) {
     EXPECT_EQ(shrunk.failure, "lemma1_cone_containment");
     EXPECT_GT(shrunk.accepted_moves, 0);
     EXPECT_LE(shrunk.instance.n, 3);
-    EXPECT_EQ(shrunk.instance.kind, FleetKind::kByzantineLies);
+    EXPECT_STREQ(kind_name(shrunk.instance), "byzantine-lies");
     // The lie plan is clamped alongside the fleet.
     EXPECT_EQ(shrunk.instance.lies.size(),
               static_cast<std::size_t>(shrunk.instance.n));
@@ -351,44 +370,50 @@ TEST(Fuzz, ShrinkerReducesByzantineInstanceToAtMostThreeRobots) {
   }
 }
 
-TEST(Fuzz, ServerQueryKindCoversEveryRegimeAndRunsTheWireDifferential) {
-  // Server-query instances swap the generic engine set for the wire
-  // round trip (diff_server_vs_library); crash-regime queries carry a
-  // full per-robot schedule, and across the 120-seed corpus all three
-  // fault regimes must appear.
+TEST(Fuzz, CleanWireKindCoversEveryRegimeAndRunsTheWireDifferential) {
+  // Clean-wire instances swap the library engines for the wire round
+  // trip — diff_chaos_vs_library at chaos_seed 0 — and draw their query
+  // regime over every svc regime: crash queries carry a full per-robot
+  // schedule, probabilistic ones a fault_p, and across the 120-seed
+  // corpus all four regimes appear.
   std::set<svc::FaultRegime> regimes;
-  int server_seeds = 0;
+  int wire_seeds = 0;
   for (std::uint64_t seed = 1; seed <= 120; ++seed) {
     const FuzzInstance instance = generate_instance(seed);
-    if (instance.kind != FleetKind::kServerQuery) continue;
-    ++server_seeds;
-    regimes.insert(instance.query_regime);
-    if (instance.query_regime == svc::FaultRegime::kCrash) {
+    if (kind_name(instance) != std::string("clean-wire")) continue;
+    ++wire_seeds;
+    regimes.insert(instance.regime);
+    EXPECT_EQ(instance.chaos_seed, 0u) << seed;
+    if (instance.regime == svc::FaultRegime::kCrash) {
       EXPECT_EQ(instance.crash_times.size(),
                 static_cast<std::size_t>(instance.n))
           << seed;
     } else {
       EXPECT_TRUE(instance.crash_times.empty()) << seed;
     }
-    if (server_seeds == 1) {
-      const FuzzOutcome outcome = run_instance(instance);
-      EXPECT_TRUE(outcome.ok()) << outcome.describe();
-      EXPECT_EQ(outcome.invariants.size(), 11u);
-      ASSERT_EQ(outcome.differentials.size(), 1u);
-      EXPECT_EQ(outcome.differentials[0].name, "server_vs_library");
+    if (instance.regime == svc::FaultRegime::kProbabilistic) {
+      EXPECT_GE(instance.fault_p, 0.0L) << seed;
+      EXPECT_LT(instance.fault_p, 1.0L) << seed;
+    } else {
+      EXPECT_EQ(instance.fault_p, 0.0L) << seed;
     }
+    const FuzzOutcome outcome = run_instance(instance);
+    EXPECT_TRUE(outcome.ok()) << seed << ": " << outcome.describe();
+    EXPECT_EQ(outcome.invariants.size(), 11u) << seed;
+    ASSERT_EQ(outcome.differentials.size(), 1u) << seed;
+    EXPECT_EQ(outcome.differentials[0].name, "chaos_vs_library") << seed;
   }
-  EXPECT_GT(server_seeds, 0);
-  EXPECT_EQ(regimes.size(), 3u);
+  EXPECT_GT(wire_seeds, 0);
+  EXPECT_EQ(regimes.size(), svc::kFaultRegimeCount);
 }
 
-TEST(Fuzz, ServerQueryKindJsonRecordsTheRegime) {
+TEST(Fuzz, CleanWireKindJsonRecordsTheRegime) {
   for (std::uint64_t seed = 1;; ++seed) {
     const FuzzInstance instance = generate_instance(seed);
-    if (instance.kind != FleetKind::kServerQuery) continue;
+    if (kind_name(instance) != std::string("clean-wire")) continue;
     const FuzzOutcome outcome = run_instance(instance);
     const std::string json = instance_to_json(instance, outcome);
-    EXPECT_NE(json.find("\"kind\": \"server-query\""), std::string::npos)
+    EXPECT_NE(json.find("\"kind\": \"clean-wire\""), std::string::npos)
         << json;
     EXPECT_NE(json.find("\"query_regime\""), std::string::npos) << json;
     break;
@@ -404,7 +429,7 @@ TEST(Fuzz, ProbabilisticKindRunsTheExpectationDifferential) {
   int divergent_seeds = 0;
   for (std::uint64_t seed = 1; seed <= 120; ++seed) {
     const FuzzInstance instance = generate_instance(seed);
-    if (instance.kind != FleetKind::kProbabilisticFaults) continue;
+    if (kind_name(instance) != std::string("probabilistic-faults")) continue;
     ++probabilistic_seeds;
     EXPECT_GE(instance.fault_p, 0.0L) << seed;
     EXPECT_LT(instance.fault_p, 1.0L) << seed;
@@ -431,7 +456,7 @@ TEST(Fuzz, ProbabilisticKindRunsTheExpectationDifferential) {
 TEST(Fuzz, ProbabilisticKindJsonRecordsFaultP) {
   for (std::uint64_t seed = 1;; ++seed) {
     const FuzzInstance instance = generate_instance(seed);
-    if (instance.kind != FleetKind::kProbabilisticFaults) continue;
+    if (kind_name(instance) != std::string("probabilistic-faults")) continue;
     const FuzzOutcome outcome = run_instance(instance);
     const std::string json = instance_to_json(instance, outcome);
     EXPECT_NE(json.find("\"kind\": \"probabilistic-faults\""),

@@ -3,14 +3,14 @@
 //   fuzz_main --seed 42                 run one instance
 //   fuzz_main --seed 1 --count 100      run a corpus of consecutive seeds
 //   fuzz_main --seed 7 --inject cone-escape   corrupt the instance first
-//   fuzz_main --kind crash-injected --count 10   only seeds of one kind
+//   fuzz_main --kind NAME --count 10    only seeds of one generator row
 //   fuzz_main ... --json out.json       write the (shrunk) repro record
 //
-// --kind filters by generated fleet kind (see kind_name in verify/fuzz):
-// seeds are scanned upward from --seed and only matching instances run,
-// so --count still means "run N instances".  Seed->instance mapping is
-// untouched — a failure found through the filter replays with the bare
-// seed.
+// --kind filters by the row an instance was drawn from (verify/fuzz
+// fuzz_rows; an unknown name lists them all): seeds are scanned upward
+// from --seed and only matching instances run, so --count still means
+// "run N instances".  Seed->instance mapping is untouched — a failure
+// found through the filter replays with the bare seed.
 //
 // Exit status 0 when every instance passes, 1 on any failure (the
 // minimal repro JSON is printed to stdout), 2 on usage errors.  A
@@ -40,20 +40,17 @@ struct CliOptions {
   std::string json_path;
 };
 
-/// True when `name` is a kind_name the generator can produce.
-bool known_kind(const std::string& name) {
-  using linesearch::verify::FleetKind;
-  for (const FleetKind kind :
-       {FleetKind::kProportional, FleetKind::kPerturbedBeta,
-        FleetKind::kCustomCone, FleetKind::kGroupDoubling,
-        FleetKind::kClassicCowPath, FleetKind::kUniformOffset,
-        FleetKind::kAnalyticZigzag, FleetKind::kCrashInjected,
-        FleetKind::kKernelSoA, FleetKind::kByzantineLies,
-        FleetKind::kServerQuery, FleetKind::kProbabilisticFaults,
-        FleetKind::kChaosWire}) {
-    if (name == linesearch::verify::kind_name(kind)) return true;
+/// True when `name` is a row the generator can draw; `valid` collects
+/// every row name for the usage error.
+bool known_kind(const std::string& name, std::string& valid) {
+  bool known = false;
+  for (const linesearch::verify::FuzzRow& row :
+       linesearch::verify::fuzz_rows()) {
+    known = known || name == row.name;
+    valid += valid.empty() ? "" : ", ";
+    valid += row.name;
   }
-  return false;
+  return known;
 }
 
 /// Run one seed; on failure print (and optionally shrink) the repro.
@@ -99,7 +96,7 @@ int main(const int argc, const char* const* argv) {
   parser.add_option("inject", &inject, "FAULT",
                     "corrupt each instance first (cone-escape)");
   parser.add_option("kind", &cli.kind, "NAME",
-                    "only run seeds of one fleet kind (see verify/fuzz)");
+                    "only run seeds of one generator row (see verify/fuzz)");
   parser.add_flag("no-shrink", &no_shrink,
                   "print the raw failing instance without shrinking");
   parser.add_option("json", &cli.json_path, "PATH",
@@ -118,12 +115,10 @@ int main(const int argc, const char* const* argv) {
     }
     cli.injection = Injection::kConeEscape;
   }
-  if (!cli.kind.empty() && !known_kind(cli.kind)) {
-    std::cerr << "fuzz_main: unknown --kind '" << cli.kind
-              << "' (valid: proportional, perturbed-beta, custom-cone, "
-                 "group-doubling, classic-cow-path, uniform-offset, "
-                 "analytic-zigzag, crash-injected, kernel-soa, "
-                 "byzantine-lies, server-query, probabilistic-faults)\n"
+  std::string valid;
+  if (!cli.kind.empty() && !known_kind(cli.kind, valid)) {
+    std::cerr << "fuzz_main: unknown --kind '" << cli.kind << "' (valid: "
+              << valid << ")\n"
               << parser.usage();
     return 2;
   }
@@ -133,7 +128,7 @@ int main(const int argc, const char* const* argv) {
   for (std::uint64_t seed = cli.seed; ran < cli.count; ++seed) {
     if (!cli.kind.empty()) {
       const FuzzInstance probe = linesearch::verify::generate_instance(seed);
-      if (cli.kind != linesearch::verify::kind_name(probe.kind)) continue;
+      if (cli.kind != linesearch::verify::kind_name(probe)) continue;
     }
     ++ran;
     if (!run_seed(seed, cli)) ++failures;
