@@ -193,6 +193,24 @@ inline void count_named(const std::string_view name,
   if constexpr (kEnabled) Registry::instance().add_named(name, delta);
 }
 
+/// One row of a module's counter table.
+struct CounterRow {
+  const char* name;
+  bool deterministic;
+};
+
+/// Register a module's counter table (any rows with `name` and
+/// `deterministic`) in one call; ids[i] is row i's counter.
+template <typename Row, std::size_t N>
+[[nodiscard]] std::array<MetricId, N> register_counters(
+    const Row (&rows)[N]) {
+  std::array<MetricId, N> ids{};
+  for (std::size_t i = 0; i < N; ++i) {
+    ids[i] = Registry::instance().counter(rows[i].name, rows[i].deterministic);
+  }
+  return ids;
+}
+
 }  // namespace linesearch::obs
 
 // ---- instrumentation macros -----------------------------------------

@@ -10,28 +10,21 @@
 namespace linesearch::svc {
 namespace {
 
-/// Chaos-layer counters.  Injection totals depend on traffic volume and
-/// arrival order, hence deterministic = false.
-struct ChaosMetrics {
-  obs::MetricId connections;
-  obs::MetricId clean_connections;
-  obs::MetricId faults_injected;
-
-  static const ChaosMetrics& instance() {
-    static const ChaosMetrics metrics = [] {
-      obs::Registry& registry = obs::Registry::instance();
-      ChaosMetrics m;
-      m.connections =
-          registry.counter("svc.chaos_connections", /*deterministic=*/false);
-      m.clean_connections = registry.counter("svc.chaos_clean_connections",
-                                             /*deterministic=*/false);
-      m.faults_injected = registry.counter("svc.chaos_faults_injected",
-                                           /*deterministic=*/false);
-      return m;
-    }();
-    return metrics;
-  }
+/// Chaos-layer counters, in ChaosCounter order.  Injection totals depend
+/// on traffic volume and arrival order, hence deterministic = false.
+enum ChaosCounter : std::size_t {
+  kChaosConnections, kCleanConnections, kFaultsInjected
 };
+constexpr obs::CounterRow kChaosCounters[] = {
+    {"svc.chaos_connections", false},
+    {"svc.chaos_clean_connections", false},
+    {"svc.chaos_faults_injected", false},
+};
+
+void bump(const ChaosCounter counter) {
+  static const auto ids = obs::register_counters(kChaosCounters);
+  obs::count(ids[counter]);
+}
 
 /// Stream-private seed: decorrelates (connection, direction) pairs while
 /// staying a pure function of the three inputs.
@@ -170,7 +163,7 @@ std::vector<ChaosEvent> ChaosStream::feed(const std::string_view data) {
     while (!disconnected_ && next_fault_ < script_.size() &&
            script_[next_fault_].at_byte <= offset_) {
       const WireFault& fault = script_[next_fault_++];
-      obs::count(ChaosMetrics::instance().faults_injected);
+      bump(kFaultsInjected);
       switch (fault.kind) {
         case WireFaultKind::kSplit:
           // Forced delivery boundary: the receiver sees a partial write.
@@ -236,9 +229,9 @@ ChaosLoopback::ChaosLoopback(QueryServer& server, const ChaosConfig& config)
 
 bool ChaosLoopback::connect() {
   const std::uint64_t index = connections_++;
-  obs::count(ChaosMetrics::instance().connections);
+  bump(kChaosConnections);
   if (connection_is_clean(config_, index)) {
-    obs::count(ChaosMetrics::instance().clean_connections);
+    bump(kCleanConnections);
   }
   to_server_ = std::make_unique<ChaosStream>(config_, index, 0);
   to_client_ = std::make_unique<ChaosStream>(config_, index, 1);

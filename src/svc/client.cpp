@@ -22,32 +22,20 @@ namespace linesearch::svc {
 namespace {
 
 /// Client-side resilience counters (timing/fault dependent, hence
-/// deterministic = false).
-struct ClientMetrics {
-  obs::MetricId calls;
-  obs::MetricId retries;
-  obs::MetricId reconnects;
-  obs::MetricId timeouts;
-  obs::MetricId corrupt_frames;
-
-  static const ClientMetrics& instance() {
-    static const ClientMetrics metrics = [] {
-      obs::Registry& registry = obs::Registry::instance();
-      ClientMetrics m;
-      m.calls = registry.counter("svc.client_calls", /*deterministic=*/false);
-      m.retries =
-          registry.counter("svc.client_retries", /*deterministic=*/false);
-      m.reconnects =
-          registry.counter("svc.client_reconnects", /*deterministic=*/false);
-      m.timeouts =
-          registry.counter("svc.client_timeouts", /*deterministic=*/false);
-      m.corrupt_frames = registry.counter("svc.client_corrupt_frames",
-                                          /*deterministic=*/false);
-      return m;
-    }();
-    return metrics;
-  }
+/// deterministic = false), in ClientCounter order.
+enum ClientCounter : std::size_t {
+  kCalls, kRetries, kReconnects, kTimeouts, kCorruptFrames
 };
+constexpr obs::CounterRow kClientCounters[] = {
+    {"svc.client_calls", false},      {"svc.client_retries", false},
+    {"svc.client_reconnects", false}, {"svc.client_timeouts", false},
+    {"svc.client_corrupt_frames", false},
+};
+
+void bump(const ClientCounter counter) {
+  static const auto ids = obs::register_counters(kClientCounters);
+  obs::count(ids[counter]);
+}
 
 /// Parse the request line's id without validating the full query shape
 /// (the server owns that).  Throws on unparseable JSON.
@@ -170,7 +158,7 @@ QueryClient::QueryClient(ClientOptions options,
 QueryClient::~QueryClient() = default;
 
 ClientResult QueryClient::call_line(const std::string& request_line) {
-  obs::count(ClientMetrics::instance().calls);
+  bump(kCalls);
   ClientResult result;
 
   long long expected_id = 0;
@@ -191,7 +179,7 @@ ClientResult QueryClient::call_line(const std::string& request_line) {
   for (int attempt = 1; attempt <= attempts; ++attempt) {
     result.attempts = attempt;
     if (attempt > 1) {
-      obs::count(ClientMetrics::instance().retries);
+      bump(kRetries);
       // Capped exponential backoff with deterministic jitter; loopback
       // differentials set sleep_on_backoff = false and stay in logical
       // time.
@@ -215,7 +203,7 @@ ClientResult QueryClient::call_line(const std::string& request_line) {
       }
       if (attempt > 1) {
         ++result.reconnects;
-        obs::count(ClientMetrics::instance().reconnects);
+        bump(kReconnects);
       }
     }
 
@@ -246,7 +234,7 @@ ClientResult QueryClient::call_line(const std::string& request_line) {
         line_start = newline + 1;
         if (line.empty()) continue;
         if (!response_matches(line, expected_id)) {
-          obs::count(ClientMetrics::instance().corrupt_frames);
+          bump(kCorruptFrames);
           last_failure = "damaged or foreign response frame";
           last_was_timeout = false;
           transport_->disconnect();
@@ -275,7 +263,7 @@ ClientResult QueryClient::call_line(const std::string& request_line) {
 
       const auto now = std::chrono::steady_clock::now();
       if (now >= deadline) {
-        obs::count(ClientMetrics::instance().timeouts);
+        bump(kTimeouts);
         last_failure = "deadline exceeded waiting for response";
         last_was_timeout = true;
         transport_->disconnect();
@@ -287,7 +275,7 @@ ClientResult QueryClient::call_line(const std::string& request_line) {
       switch (transport_->read_some(buffer, std::max(1, remaining))) {
         case ClientTransport::ReadStatus::kData: break;
         case ClientTransport::ReadStatus::kTimeout:
-          obs::count(ClientMetrics::instance().timeouts);
+          bump(kTimeouts);
           last_failure = "deadline exceeded waiting for response";
           last_was_timeout = true;
           transport_->disconnect();

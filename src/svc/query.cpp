@@ -18,37 +18,15 @@
 namespace linesearch::svc {
 namespace {
 
-/// Behaviour counters.  svc.queries is deterministic (one per
-/// canonicalized call); the cache/coalescing/backends counters depend on
-/// arrival timing under concurrency, so they carry deterministic = false
-/// and the determinism tests filter them out.
-struct SvcMetrics {
-  obs::MetricId queries;
-  obs::MetricId cache_hits;
-  obs::MetricId coalesced;
-  obs::MetricId evaluations;
-  obs::MetricId backend_builds;
-  obs::MetricId backend_hits;
-
-  static const SvcMetrics& instance() {
-    static const SvcMetrics metrics = [] {
-      obs::Registry& registry = obs::Registry::instance();
-      SvcMetrics m;
-      m.queries = registry.counter("svc.queries");
-      m.cache_hits =
-          registry.counter("svc.cache_hits", /*deterministic=*/false);
-      m.coalesced =
-          registry.counter("svc.coalesced", /*deterministic=*/false);
-      m.evaluations =
-          registry.counter("svc.evaluations", /*deterministic=*/false);
-      m.backend_builds =
-          registry.counter("svc.backend_builds", /*deterministic=*/false);
-      m.backend_hits =
-          registry.counter("svc.backend_hits", /*deterministic=*/false);
-      return m;
-    }();
-    return metrics;
-  }
+/// QueryService's counter table, in Counter order.  svc.queries is
+/// deterministic (one per canonicalized call); the rest depend on
+/// arrival timing under concurrency, so the determinism tests filter
+/// them out.
+constexpr obs::CounterRow kCounterRows[] = {
+    {"svc.queries", true},         {"svc.cache_hits", false},
+    {"svc.coalesced", false},      {"svc.evaluations", false},
+    {"svc.backend_builds", false}, {"svc.backend_hits", false},
+    {"svc.evictions", false},
 };
 
 /// One fault regime as data.  The svc regimes differ in three ways
@@ -281,9 +259,7 @@ std::shared_ptr<const Fleet> QueryService::backend_for(
   const std::lock_guard<std::mutex> lock(backends_mutex_);
   const auto it = backends_.find(key);
   if (it != backends_.end()) {
-    obs::count(SvcMetrics::instance().backend_hits);
-    const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    ++stats_.backend_hits;
+    bump(kBackendHits);
     return it->second;
   }
   // Bound the registry: evict the oldest registration.  In-use fleets
@@ -296,20 +272,14 @@ std::shared_ptr<const Fleet> QueryService::backend_for(
   auto backend = std::make_shared<const Fleet>(build_backend(canonical));
   backends_.emplace(key, backend);
   backend_order_.push_back(key);
-  obs::count(SvcMetrics::instance().backend_builds);
-  const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-  ++stats_.backend_builds;
+  bump(kBackendBuilds);
   return backend;
 }
 
 QueryResult QueryService::compute(const CrQuery& canonical) {
   LS_OBS_SPAN("svc.query.compute");
   const std::shared_ptr<const Fleet> backend = backend_for(canonical);
-  obs::count(SvcMetrics::instance().evaluations);
-  {
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.evaluations;
-  }
+  bump(kEvaluations);
   return evaluate_on_backend(canonical, *backend);
 }
 
@@ -340,8 +310,7 @@ void QueryService::cache_store(const std::size_t shard_index,
   if (shard.order.size() >= options_.shard_capacity) {
     shard.by_key.erase(shard.order.back().first);
     shard.order.pop_back();
-    const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    ++stats_.evictions;
+    bump(kEvictions);
   }
   shard.order.emplace_front(key, result);
   shard.by_key.emplace(key, shard.order.begin());
@@ -352,81 +321,76 @@ QueryResult QueryService::evaluate(const CrQuery& query) {
   const std::string key = query_key(canonical);
   const std::size_t shard_index =
       query_shard(canonical, options_.shard_count);
-  obs::count(SvcMetrics::instance().queries);
-  {
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.queries;
-  }
+  bump(kQueries);
 
   QueryResult cached;
   if (options_.cache_results && cache_lookup(shard_index, key, cached)) {
-    obs::count(SvcMetrics::instance().cache_hits);
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.cache_hits;
+    bump(kCacheHits);
     return cached;
   }
 
-  std::shared_ptr<InFlight> flight;
-  bool leader = true;
+  std::promise<QueryResult> leader;
   if (options_.coalesce) {
-    const std::lock_guard<std::mutex> lock(inflight_mutex_);
-    const auto it = inflight_.find(key);
-    if (it != inflight_.end()) {
-      flight = it->second;
-      leader = false;
-    } else {
-      flight = std::make_shared<InFlight>();
-      inflight_.emplace(key, flight);
-    }
-  }
-
-  if (!leader) {
-    obs::count(SvcMetrics::instance().coalesced);
+    std::shared_future<QueryResult> pending;
     {
-      const std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.coalesced;
+      const std::lock_guard<std::mutex> lock(inflight_mutex_);
+      const auto [it, fresh] = inflight_.try_emplace(key);
+      if (fresh) {
+        it->second = leader.get_future().share();
+      } else {
+        pending = it->second;
+      }
     }
-    std::unique_lock<std::mutex> lock(flight->mutex);
-    flight->done.wait(lock, [&flight] { return flight->finished; });
-    if (flight->failed) throw Error(flight->error);
-    return flight->result;
+    if (pending.valid()) {
+      bump(kCoalesced);
+      return pending.get();  // the leader's result, or its very exception
+    }
   }
 
   QueryResult result;
+  std::exception_ptr error;
   try {
     result = compute(canonical);
-  } catch (const std::exception& failure) {
-    if (flight != nullptr) {
-      {
-        const std::lock_guard<std::mutex> lock(inflight_mutex_);
-        inflight_.erase(key);
-      }
-      const std::lock_guard<std::mutex> lock(flight->mutex);
-      flight->failed = true;
-      flight->error = failure.what();
-      flight->finished = true;
-      flight->done.notify_all();
-    }
-    throw;
+  } catch (...) {
+    error = std::current_exception();
   }
-
-  if (options_.cache_results) cache_store(shard_index, key, result);
-  if (flight != nullptr) {
+  if (!error && options_.cache_results) {
+    cache_store(shard_index, key, result);
+  }
+  if (options_.coalesce) {
     {
       const std::lock_guard<std::mutex> lock(inflight_mutex_);
       inflight_.erase(key);
     }
-    const std::lock_guard<std::mutex> lock(flight->mutex);
-    flight->result = result;
-    flight->finished = true;
-    flight->done.notify_all();
+    if (error) {
+      leader.set_exception(error);
+    } else {
+      leader.set_value(result);
+    }
   }
+  if (error) std::rethrow_exception(error);
   return result;
 }
 
+void QueryService::bump(const Counter counter) {
+  static_assert(std::size(kCounterRows) == kCounterCount &&
+                sizeof(Stats) == kCounterCount * sizeof(std::uint64_t));
+  counters_[counter].fetch_add(1, std::memory_order_relaxed);
+  static const auto ids = obs::register_counters(kCounterRows);
+  obs::count(ids[counter]);
+}
+
 QueryService::Stats QueryService::stats() const {
-  const std::lock_guard<std::mutex> lock(stats_mutex_);
-  return stats_;
+  const auto load = [this](const Counter counter) {
+    return counters_[counter].load(std::memory_order_relaxed);
+  };
+  return {.queries = load(kQueries),
+          .cache_hits = load(kCacheHits),
+          .coalesced = load(kCoalesced),
+          .evaluations = load(kEvaluations),
+          .backend_builds = load(kBackendBuilds),
+          .backend_hits = load(kBackendHits),
+          .evictions = load(kEvictions)};
 }
 
 std::size_t QueryService::backend_count() const {

@@ -25,9 +25,11 @@
 // query.
 #pragma once
 
-#include <condition_variable>
+#include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -149,7 +151,9 @@ class QueryService {
   /// regardless of cache state, shard layout, or concurrency.
   [[nodiscard]] QueryResult evaluate(const CrQuery& query);
 
-  /// Monotonic behaviour counters (also exported as svc.* obs metrics).
+  /// Monotonic behaviour counters.  Each field is one lock-free counter
+  /// whose increment site also counts its svc.* obs metric, so the two
+  /// views cannot drift; stats() counts with the obs layer compiled out.
   struct Stats {
     std::uint64_t queries = 0;      ///< evaluate() calls that canonicalized
     std::uint64_t cache_hits = 0;   ///< served from a shard LRU
@@ -205,15 +209,14 @@ class QueryService {
         by_key;
   };
 
-  /// One leader computing a key; followers wait on `done`.
-  struct InFlight {
-    std::mutex mutex;
-    std::condition_variable done;
-    bool finished = false;
-    bool failed = false;
-    std::string error;
-    QueryResult result;
+  /// One slot per Stats field, in the order of query.cpp's counter table
+  /// (which names each slot's svc.* metric); stats() loads the slots.
+  enum Counter : std::size_t {
+    kQueries, kCacheHits, kCoalesced, kEvaluations, kBackendBuilds,
+    kBackendHits, kEvictions, kCounterCount
   };
+  /// Count one event: its Stats slot and its svc.* registry counter.
+  void bump(Counter counter);
 
   [[nodiscard]] std::shared_ptr<const Fleet> backend_for(
       const CrQuery& canonical);
@@ -233,10 +236,11 @@ class QueryService {
   std::list<std::string> backend_order_;
 
   std::mutex inflight_mutex_;
-  std::unordered_map<std::string, std::shared_ptr<InFlight>> inflight_;
+  /// One shared result per key being computed: its leader fulfils it,
+  /// coalesced followers wait on it.
+  std::unordered_map<std::string, std::shared_future<QueryResult>> inflight_;
 
-  mutable std::mutex stats_mutex_;
-  Stats stats_;
+  std::array<std::atomic<std::uint64_t>, kCounterCount> counters_{};
 };
 
 }  // namespace linesearch::svc

@@ -11,6 +11,7 @@
 #include <climits>
 #include <condition_variable>
 #include <cstring>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -23,52 +24,15 @@
 namespace linesearch::svc {
 namespace {
 
-/// Wire-level counters.  All timing/arrival dependent under concurrency,
-/// hence deterministic = false (the determinism tests filter them out).
-struct WireMetrics {
-  obs::MetricId requests;
-  obs::MetricId rejected;
-  obs::MetricId errors;
-  obs::MetricId queue_depth;
-  obs::MetricId latency;
-  obs::MetricId frame_rejected;
-  obs::MetricId idle_closed;
-  obs::MetricId write_timeout;
-  obs::MetricId write_failures;
-  obs::MetricId drain_rejected;
-
-  static const WireMetrics& instance() {
-    static const WireMetrics metrics = [] {
-      obs::Registry& registry = obs::Registry::instance();
-      WireMetrics m;
-      m.requests =
-          registry.counter("svc.requests", /*deterministic=*/false);
-      m.rejected =
-          registry.counter("svc.rejected", /*deterministic=*/false);
-      m.errors = registry.counter("svc.errors", /*deterministic=*/false);
-      m.frame_rejected =
-          registry.counter("svc.frame_rejected", /*deterministic=*/false);
-      m.idle_closed = registry.counter("svc.deadline_idle_closed",
-                                       /*deterministic=*/false);
-      m.write_timeout = registry.counter("svc.deadline_write_timeout",
-                                         /*deterministic=*/false);
-      m.write_failures =
-          registry.counter("svc.write_failures", /*deterministic=*/false);
-      m.drain_rejected =
-          registry.counter("svc.drain_rejected", /*deterministic=*/false);
-      // High-water mark of concurrently evaluating requests.
-      m.queue_depth =
-          registry.gauge("svc.queue_depth", /*deterministic=*/false);
-      // Per-request wall latency in microseconds.
-      m.latency = registry.histogram(
-          "svc.latency_usec",
-          {10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000,
-           50000, 100000, 250000, 1000000},
-          /*deterministic=*/false);
-      return m;
-    }();
-    return metrics;
-  }
+/// QueryServer's counter table, in Counter order.  All are timing or
+/// arrival dependent under concurrency, hence deterministic = false (the
+/// determinism tests filter them out).
+constexpr obs::CounterRow kCounterRows[] = {
+    {"svc.requests", false},       {"svc.errors", false},
+    {"svc.rejected", false},       {"svc.connections", false},
+    {"svc.frame_rejected", false}, {"svc.deadline_idle_closed", false},
+    {"svc.drain_rejected", false}, {"svc.write_failures", false},
+    {"svc.deadline_write_timeout", false},
 };
 
 /// Poll interval of the accept/read loops: how often the stop flag is
@@ -186,12 +150,18 @@ QueryServer::QueryServer(QueryServerOptions options)
 }
 
 std::string QueryServer::handle_line(const std::string& line) {
+  // High-water mark of concurrently evaluating requests, and the
+  // per-request wall latency in microseconds.
+  static const obs::MetricId queue_depth =
+      obs::Registry::instance().gauge("svc.queue_depth",
+                                      /*deterministic=*/false);
+  static const obs::MetricId latency = obs::Registry::instance().histogram(
+      "svc.latency_usec",
+      {10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000,
+       100000, 250000, 1000000},
+      /*deterministic=*/false);
   const auto start = std::chrono::steady_clock::now();
-  obs::count(WireMetrics::instance().requests);
-  {
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.requests;
-  }
+  bump(kRequests);
 
   long long id = 0;
   std::string response;
@@ -199,14 +169,11 @@ std::string QueryServer::handle_line(const std::string& line) {
   // an explicit overload error instead of unbounded queueing.
   const std::size_t depth =
       inflight_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  obs::gauge_to(WireMetrics::instance().queue_depth, depth);
+  obs::gauge_to(queue_depth, depth);
   if (depth > options_.max_inflight) {
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    obs::count(WireMetrics::instance().rejected);
-    obs::count(WireMetrics::instance().errors);
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.rejected;
-    ++stats_.errors;
+    bump(kRejected);
+    bump(kErrors);
     return render_error(id, "overloaded");
   }
   try {
@@ -214,25 +181,24 @@ std::string QueryServer::handle_line(const std::string& line) {
     id = request.id;
     response = render_response(id, service_.evaluate(request.query));
   } catch (const std::exception& failure) {
-    obs::count(WireMetrics::instance().errors);
-    {
-      const std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.errors;
-    }
+    bump(kErrors);
     // Echo the request id whenever the line itself parsed (the failure
     // was a bad op/field): clients can then match the structured error
     // to its request.  A 0-id error means the REQUEST was unparseable —
     // to a client that only sends ids >= 1, proof of a damaged frame.
     if (id == 0) id = peek_request_id(line);
-    response = render_error(id, failure.what());
+    // A library error renders its message without the call site, so the
+    // wire bytes do not depend on the source tree.
+    const auto* error = dynamic_cast<const Error*>(&failure);
+    response = render_error(
+        id, error != nullptr ? std::string(error->message()) : failure.what());
   }
   inflight_.fetch_sub(1, std::memory_order_acq_rel);
 
   const auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
                           std::chrono::steady_clock::now() - start)
                           .count();
-  obs::observe(WireMetrics::instance().latency,
-               static_cast<std::uint64_t>(micros));
+  obs::observe(latency, static_cast<std::uint64_t>(micros));
   return response;
 }
 
@@ -248,10 +214,8 @@ bool QueryServer::write_line(const int fd, const std::string& line) {
       // wait for writability only up to the write deadline.
       const auto now = std::chrono::steady_clock::now();
       if (now >= deadline) {
-        obs::count(WireMetrics::instance().write_timeout);
-        obs::count(WireMetrics::instance().write_failures);
-        const std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.write_failures;
+        bump(kWriteTimeouts);
+        bump(kWriteFailures);
         return false;
       }
       pollfd poller{};
@@ -282,17 +246,12 @@ bool QueryServer::write_line(const int fd, const std::string& line) {
     written += static_cast<std::size_t>(sent);
   }
   if (written >= response.size()) return true;
-  obs::count(WireMetrics::instance().write_failures);
-  const std::lock_guard<std::mutex> lock(stats_mutex_);
-  ++stats_.write_failures;
+  bump(kWriteFailures);
   return false;
 }
 
 void QueryServer::handle_connection(const int fd) {
-  {
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.connections;
-  }
+  bump(kConnections);
   std::string buffer;
   char chunk[4096];
   bool open = true;
@@ -324,11 +283,7 @@ void QueryServer::handle_connection(const int fd) {
     // Frame bound: a pending line that outgrew the limit can only get
     // worse — reject it visibly and close before it becomes an OOM.
     if (buffer.size() > options_.max_request_bytes) {
-      obs::count(WireMetrics::instance().frame_rejected);
-      {
-        const std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.frame_rejected;
-      }
+      bump(kFrameRejected);
       (void)write_line(
           fd, render_error(0, "malformed: request line exceeds " +
                                   std::to_string(options_.max_request_bytes) +
@@ -352,11 +307,7 @@ void QueryServer::handle_connection(const int fd) {
         pending.append(chunk, static_cast<std::size_t>(got));
       }
       for (const std::string& rejection : drain_reject_lines(pending)) {
-        obs::count(WireMetrics::instance().drain_rejected);
-        {
-          const std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.drain_rejected;
-        }
+        bump(kDrainRejected);
         if (!write_line(fd, rejection)) break;
       }
       break;
@@ -369,11 +320,7 @@ void QueryServer::handle_connection(const int fd) {
               std::chrono::steady_clock::now() - last_progress)
               .count();
       if (idle_for > options_.idle_timeout_ms) {
-        obs::count(WireMetrics::instance().idle_closed);
-        {
-          const std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.idle_closed;
-        }
+        bump(kIdleClosed);
         (void)write_line(
             fd, render_error(0, "timeout: connection idle beyond " +
                                     std::to_string(options_.idle_timeout_ms) +
@@ -491,13 +438,31 @@ void QueryServer::maybe_snapshot() noexcept {
   } catch (const std::exception&) {
     // A full disk or unwritable path must not take the service down;
     // the next checkpoint retries.
-    obs::count(WireMetrics::instance().write_failures);
+    bump(kWriteFailures);
   }
 }
 
+void QueryServer::bump(const Counter counter) {
+  static_assert(std::size(kCounterRows) == kCounterCount &&
+                sizeof(Stats) == kCounterCount * sizeof(std::uint64_t));
+  counters_[counter].fetch_add(1, std::memory_order_relaxed);
+  static const auto ids = obs::register_counters(kCounterRows);
+  obs::count(ids[counter]);
+}
+
 QueryServer::Stats QueryServer::stats() const {
-  const std::lock_guard<std::mutex> lock(stats_mutex_);
-  return stats_;
+  const auto load = [this](const Counter counter) {
+    return counters_[counter].load(std::memory_order_relaxed);
+  };
+  return {.requests = load(kRequests),
+          .errors = load(kErrors),
+          .rejected = load(kRejected),
+          .connections = load(kConnections),
+          .frame_rejected = load(kFrameRejected),
+          .idle_closed = load(kIdleClosed),
+          .drain_rejected = load(kDrainRejected),
+          .write_failures = load(kWriteFailures),
+          .write_timeouts = load(kWriteTimeouts)};
 }
 
 }  // namespace linesearch::svc

@@ -30,9 +30,9 @@
 // line, then serve() returns.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -105,7 +105,7 @@ class QueryServer {
   /// The underlying query service (stats/backends inspection in tests).
   [[nodiscard]] QueryService& service() { return service_; }
 
-  /// Monotonic wire-level counters (also exported as svc.* obs metrics).
+  /// Monotonic wire-level counters, kept like QueryService::Stats.
   struct Stats {
     std::uint64_t requests = 0;  ///< lines received (including malformed)
     std::uint64_t errors = 0;    ///< {"ok":false} responses
@@ -114,7 +114,8 @@ class QueryServer {
     std::uint64_t frame_rejected = 0;  ///< oversized request lines
     std::uint64_t idle_closed = 0;     ///< idle-deadline connection closes
     std::uint64_t drain_rejected = 0;  ///< requests rejected during drain
-    std::uint64_t write_failures = 0;  ///< EPIPE/timeout on response writes
+    std::uint64_t write_failures = 0;  ///< failed response/snapshot writes
+    std::uint64_t write_timeouts = 0;  ///< deadline hits (in write_failures)
   };
   [[nodiscard]] Stats stats() const;
 
@@ -136,14 +137,22 @@ class QueryServer {
   /// disk).
   void maybe_snapshot() noexcept;
 
+  /// One slot per Stats field, in the order of server.cpp's counter
+  /// table (which names each slot's svc.* metric); stats() loads them.
+  enum Counter : std::size_t {
+    kRequests, kErrors, kRejected, kConnections, kFrameRejected,
+    kIdleClosed, kDrainRejected, kWriteFailures, kWriteTimeouts,
+    kCounterCount
+  };
+  /// Count one event: its Stats slot and its svc.* registry counter.
+  void bump(Counter counter);
+
   QueryServerOptions options_;
   QueryService service_;
   std::atomic<bool> stopping_{false};
   std::atomic<bool> checkpoint_{false};
   std::atomic<std::size_t> inflight_{0};
-
-  mutable std::mutex stats_mutex_;
-  Stats stats_;
+  std::array<std::atomic<std::uint64_t>, kCounterCount> counters_{};
 };
 
 /// Parse one wire request into (id, query).  Throws PreconditionError on

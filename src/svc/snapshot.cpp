@@ -14,30 +14,21 @@ namespace linesearch::svc {
 namespace {
 
 /// Snapshot lifecycle counters (I/O and operator dependent, hence
-/// deterministic = false).
-struct SnapshotMetrics {
-  obs::MetricId saved;
-  obs::MetricId restored;
-  obs::MetricId rejected;
-  obs::MetricId entries_restored;
-
-  static const SnapshotMetrics& instance() {
-    static const SnapshotMetrics metrics = [] {
-      obs::Registry& registry = obs::Registry::instance();
-      SnapshotMetrics m;
-      m.saved =
-          registry.counter("svc.snapshot_saved", /*deterministic=*/false);
-      m.restored =
-          registry.counter("svc.snapshot_restored", /*deterministic=*/false);
-      m.rejected =
-          registry.counter("svc.snapshot_rejected", /*deterministic=*/false);
-      m.entries_restored = registry.counter("svc.snapshot_entries_restored",
-                                            /*deterministic=*/false);
-      return m;
-    }();
-    return metrics;
-  }
+/// deterministic = false), in SnapshotCounter order.
+enum SnapshotCounter : std::size_t {
+  kSaved, kRestored, kRejected, kEntriesRestored
 };
+constexpr obs::CounterRow kSnapshotCounters[] = {
+    {"svc.snapshot_saved", false},
+    {"svc.snapshot_restored", false},
+    {"svc.snapshot_rejected", false},
+    {"svc.snapshot_entries_restored", false},
+};
+
+void bump(const SnapshotCounter counter, const std::uint64_t delta = 1) {
+  static const auto ids = obs::register_counters(kSnapshotCounters);
+  obs::count(ids[counter], delta);
+}
 
 std::string hex16(const std::uint64_t value) {
   static const char* digits = "0123456789abcdef";
@@ -85,7 +76,7 @@ QueryService::CacheEntry parse_entry(const std::string& line) {
 }
 
 SnapshotLoadReport reject(const std::string& reason) {
-  obs::count(SnapshotMetrics::instance().rejected);
+  bump(kRejected);
   SnapshotLoadReport report;
   report.error = reason;
   return report;
@@ -135,7 +126,7 @@ SnapshotWriteReport save_snapshot(const QueryService& service,
     std::remove(tmp.c_str());
     throw Error("snapshot: rename " + tmp + " -> " + path + " failed");
   }
-  obs::count(SnapshotMetrics::instance().saved);
+  bump(kSaved);
   SnapshotWriteReport report;
   report.entries = service.cached_count();
   report.bytes = payload.size();
@@ -197,9 +188,8 @@ SnapshotLoadReport load_snapshot(QueryService& service,
     SnapshotLoadReport report;
     report.entries = service.import_cache(entries);
     report.ok = true;
-    obs::count(SnapshotMetrics::instance().restored);
-    obs::count(SnapshotMetrics::instance().entries_restored,
-               report.entries);
+    bump(kRestored);
+    bump(kEntriesRestored, report.entries);
     return report;
   } catch (const std::exception& failure) {
     return reject(std::string("snapshot: ") + failure.what());

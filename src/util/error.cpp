@@ -1,32 +1,22 @@
 #include "util/error.hpp"
 
 namespace linesearch {
-namespace {
 
-std::string describe(const std::string_view message,
-                     const std::source_location& where) {
-  std::string out;
-  out += message;
-  out += " [";
-  out += where.file_name();
-  out += ":";
-  out += std::to_string(where.line());
-  out += " in ";
-  out += where.function_name();
-  out += "]";
-  return out;
-}
-
-}  // namespace
+Error::Error(const std::string_view message,
+             const std::source_location& where)
+    : std::runtime_error(std::string(message) + " [" + where.file_name() +
+                         ":" + std::to_string(where.line()) + " in " +
+                         where.function_name() + "]"),
+      message_size_(message.size()) {}
 
 void expects(const bool condition, const std::string_view message,
              const std::source_location where) {
-  if (!condition) throw PreconditionError(describe(message, where));
+  if (!condition) throw PreconditionError(message, where);
 }
 
 void ensures(const bool condition, const std::string_view message,
              const std::source_location where) {
-  if (!condition) throw InvariantError(describe(message, where));
+  if (!condition) throw InvariantError(message, where);
 }
 
 }  // namespace linesearch

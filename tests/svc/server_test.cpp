@@ -25,8 +25,10 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "verify/invariants.hpp"
 
@@ -462,6 +464,136 @@ TEST(QueryServerSocket, DrainMidBurstAnswersOrRejectsEveryRequest) {
   EXPECT_EQ(server.stats().drain_rejected, drained);
   std::ifstream gone(path);
   EXPECT_FALSE(gone.good());
+}
+
+/// Counter parity: one scripted session reaches every Stats field but
+/// coalesced (which needs racing callers), each with an exact expected
+/// value, and — with the obs layer compiled in — every svc.* registry
+/// counter moves by exactly its Stats field.  The overload needs its own
+/// server (max_inflight = 0 rejects everything), so the registry deltas
+/// are compared with the two servers' sums.
+TEST(QueryServerStats, EveryFieldMatchesItsRegistryCounter) {
+  const auto registry_value = [](const std::string& name) {
+    for (const obs::MetricSnapshot& metric :
+         obs::Registry::instance().snapshot()) {
+      if (metric.name == name) return metric.value;
+    }
+    return std::uint64_t{0};
+  };
+  using Wire = QueryServer::Stats;
+  using Svc = QueryService::Stats;
+  const std::vector<std::pair<std::string, std::uint64_t Wire::*>>
+      wire_names = {{"svc.requests", &Wire::requests},
+                    {"svc.errors", &Wire::errors},
+                    {"svc.rejected", &Wire::rejected},
+                    {"svc.connections", &Wire::connections},
+                    {"svc.frame_rejected", &Wire::frame_rejected},
+                    {"svc.deadline_idle_closed", &Wire::idle_closed},
+                    {"svc.drain_rejected", &Wire::drain_rejected},
+                    {"svc.write_failures", &Wire::write_failures},
+                    {"svc.deadline_write_timeout", &Wire::write_timeouts}};
+  const std::vector<std::pair<std::string, std::uint64_t Svc::*>>
+      svc_names = {{"svc.queries", &Svc::queries},
+                   {"svc.cache_hits", &Svc::cache_hits},
+                   {"svc.coalesced", &Svc::coalesced},
+                   {"svc.evaluations", &Svc::evaluations},
+                   {"svc.backend_builds", &Svc::backend_builds},
+                   {"svc.backend_hits", &Svc::backend_hits},
+                   {"svc.evictions", &Svc::evictions}};
+  std::vector<std::uint64_t> before;
+  for (const auto& [name, field] : wire_names) {
+    before.push_back(registry_value(name));
+  }
+  for (const auto& [name, field] : svc_names) {
+    before.push_back(registry_value(name));
+  }
+
+  const std::string pid = std::to_string(::getpid());
+  const std::string path = "/tmp/ls_svc_parity_" + pid + ".sock";
+  QueryServerOptions options;
+  options.service.shard_count = 1;
+  options.service.shard_capacity = 1;  // the second distinct query evicts
+  options.max_request_bytes = 64;
+  options.idle_timeout_ms = 50;
+  options.snapshot_path = "/tmp/ls_svc_parity_missing_" + pid + "/cache.snap";
+  QueryServer server(options);
+
+  const std::string cold = R"({"id": 1, "op": "cr", "n": 3, "f": 1})";
+  EXPECT_NE(server.handle_line(cold).find("\"ok\":true"), std::string::npos);
+  EXPECT_NE(server.handle_line(cold).find("\"ok\":true"), std::string::npos);
+  // Same (n, f) backend, different window: a backend hit and an eviction.
+  const std::string other =
+      R"({"id": 2, "op": "cr", "n": 3, "f": 1, "window_hi": 8})";
+  EXPECT_NE(server.handle_line(other).find("\"ok\":true"),
+            std::string::npos);
+  const std::string malformed = server.handle_line("garbage");
+  EXPECT_NE(malformed.find("\"ok\":false"), std::string::npos);
+  EXPECT_EQ(malformed.find(".cpp:"), std::string::npos) << malformed;
+
+  std::thread accept_loop([&server, &path] { server.serve(path); });
+  {
+    WireClient oversized(path);
+    ASSERT_TRUE(oversized.connected()) << "server never bound " << path;
+    ASSERT_TRUE(oversized.send_raw(std::string(256, 'a')));
+    EXPECT_EQ(oversized.read_lines_until_eof().size(), 1u);
+  }
+  {
+    WireClient idle(path);
+    ASSERT_TRUE(idle.connected());
+    const std::vector<std::string> lines = idle.read_lines_until_eof();
+    ASSERT_EQ(lines.size(), 1u);
+    EXPECT_NE(lines[0].find("timeout"), std::string::npos) << lines[0];
+  }
+  server.stop();
+  accept_loop.join();  // the drain-time snapshot save fails: no directory
+
+  QueryServerOptions overload_options;
+  overload_options.max_inflight = 0;
+  QueryServer overload(overload_options);
+  EXPECT_NE(overload.handle_line(cold).find("overloaded"), std::string::npos);
+
+  const Wire wire = server.stats();
+  EXPECT_EQ(wire.requests, 4u);
+  EXPECT_EQ(wire.errors, 1u);
+  EXPECT_EQ(wire.rejected, 0u);
+  EXPECT_EQ(wire.connections, 2u);
+  EXPECT_EQ(wire.frame_rejected, 1u);
+  EXPECT_EQ(wire.idle_closed, 1u);
+  EXPECT_EQ(wire.drain_rejected, 0u);
+  EXPECT_EQ(wire.write_failures, 1u);
+  EXPECT_EQ(wire.write_timeouts, 0u);
+  const Wire shed = overload.stats();
+  EXPECT_EQ(shed.requests, 1u);
+  EXPECT_EQ(shed.errors, 1u);
+  EXPECT_EQ(shed.rejected, 1u);
+  EXPECT_EQ(shed.connections + shed.frame_rejected + shed.idle_closed +
+                shed.drain_rejected + shed.write_failures +
+                shed.write_timeouts,
+            0u);
+  const Svc svc = server.service().stats();
+  EXPECT_EQ(svc.queries, 3u);
+  EXPECT_EQ(svc.cache_hits, 1u);
+  EXPECT_EQ(svc.coalesced, 0u);
+  EXPECT_EQ(svc.evaluations, 2u);
+  EXPECT_EQ(svc.backend_builds, 1u);
+  EXPECT_EQ(svc.backend_hits, 1u);
+  EXPECT_EQ(svc.evictions, 1u);
+  const Svc shed_svc = overload.service().stats();
+  EXPECT_EQ(shed_svc.queries + shed_svc.evaluations, 0u);
+
+  if constexpr (obs::kEnabled) {
+    std::size_t i = 0;
+    for (const auto& [name, field] : wire_names) {
+      EXPECT_EQ(registry_value(name) - before[i++],
+                wire.*field + shed.*field)
+          << name;
+    }
+    for (const auto& [name, field] : svc_names) {
+      EXPECT_EQ(registry_value(name) - before[i++],
+                svc.*field + shed_svc.*field)
+          << name;
+    }
+  }
 }
 
 TEST(QueryServerSocket, StopWithoutConnectionsReturnsPromptly) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace linesearch {
 namespace {
 
@@ -21,6 +23,18 @@ TEST(Expects, MessageContainsTextAndLocation) {
     EXPECT_NE(what.find("my-precondition"), std::string::npos);
     EXPECT_NE(what.find("error_test.cpp"), std::string::npos);
   }
+}
+
+TEST(Expects, MessageDropsTheLocationThatWhatKeeps) {
+  try {
+    expects(false, "my-precondition");
+    FAIL() << "should have thrown";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.message(), "my-precondition");
+    EXPECT_EQ(std::string(e.what()).rfind("my-precondition [", 0), 0u);
+  }
+  const NumericError plain("no location");
+  EXPECT_EQ(plain.message(), plain.what());
 }
 
 TEST(Ensures, ThrowsInvariantErrorOnFalse) {

@@ -137,8 +137,12 @@ int main(const int argc, const char* const* argv) {
             << " idle_closed=" << wire.idle_closed
             << " drain_rejected=" << wire.drain_rejected
             << " write_failures=" << wire.write_failures
-            << " cache_hits=" << svc.cache_hits
+            << " write_timeouts=" << wire.write_timeouts
+            << " queries=" << svc.queries << " cache_hits=" << svc.cache_hits
             << " coalesced=" << svc.coalesced
-            << " evaluations=" << svc.evaluations << '\n';
+            << " evaluations=" << svc.evaluations
+            << " backend_builds=" << svc.backend_builds
+            << " backend_hits=" << svc.backend_hits
+            << " evictions=" << svc.evictions << '\n';
   return 0;
 }
