@@ -1,13 +1,26 @@
 // bench_perf — google-benchmark microbenchmarks of the library's hot
 // kernels (experiment P1): trajectory construction, first-visit queries,
-// fault-aware detection, empirical CR evaluation, root solving and the
-// adversarial game.  These quantify the cost of the exact-math substrate
-// (no discretization) that all reproductions run on.
+// fault-aware detection, empirical CR evaluation, root solving, the
+// adversarial game, the fault-regime sweeps and the query service.
+// These quantify the cost of the exact-math substrate (no
+// discretization) that all reproductions run on.
+//
+// A plain google-benchmark binary (benchmark_main): narrow a run with
+// --benchmark_filter and write the BENCH_perf.json artifact with
+//
+//   bench_perf --benchmark_out=BENCH_perf.json --benchmark_out_format=json
+//
+// Ratios are read off entry pairs: BM_KernelCrSoA / BM_KernelCrScalar,
+// BM_DenseCrSweepParallel / BM_DenseCrSweepSerial, BM_CertifiedCr /
+// BM_MeasureCr, BM_ServiceQuery/0 / BM_ServiceQuery/1 and
+// BM_ExpectationExact / BM_ExpectationMonteCarlo.  A guard that fails
+// (e.g. the parallel sweep diverging from the serial one) marks its
+// entry error_occurred instead of timing it.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
-#include <fstream>
-#include <iostream>
+#include <filesystem>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,7 +35,8 @@
 #include "eval/exact.hpp"
 #include "eval/expectation.hpp"
 #include "eval/kernels.hpp"
-#include "obs/perf_report.hpp"
+#include "eval/montecarlo.hpp"
+#include "eval/validation.hpp"
 #include "runtime/injector.hpp"
 #include "runtime/supervisor.hpp"
 #include "runtime/world.hpp"
@@ -30,7 +44,7 @@
 #include "sim/zigzag.hpp"
 #include "star/search.hpp"
 #include "svc/server.hpp"
-#include "util/cli.hpp"
+#include "svc/snapshot.hpp"
 #include "util/parallel.hpp"
 
 namespace {
@@ -162,33 +176,53 @@ void BM_AnalyticCrSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_AnalyticCrSweep)->Unit(benchmark::kMillisecond);
 
+/// The scan the BM_KernelCr{Scalar,SoA} pair races.  Arg(0): the dense
+/// A(7, 4) fleet over window 48.  Arg(1): A(12, 11) on the analytic
+/// backend over 2^20 — the deepest regime pair, where the per-probe
+/// segment walk the kernel replaces dominates the scalar scan.
+struct KernelScan {
+  Fleet fleet;
+  int faults;
+  CrEvalOptions options;
+};
+
+KernelScan kernel_scan(benchmark::State& state) {
+  if (state.range(0) == 0) {
+    state.SetLabel("dense A(7,4)");
+    return {ProportionalAlgorithm(7, 4).build_fleet(2000), 4,
+            {.window_hi = 48, .interior_samples = 16}};
+  }
+  state.SetLabel("analytic A(12,11)");
+  return {ProportionalAlgorithm(12, 11).build_unbounded_fleet(), 11,
+          {.window_hi = 1048576}};
+}
+
 void BM_KernelCrScalar(benchmark::State& state) {
   // Scalar reference scan: one direct Fleet::detection_time query per
   // probe (allocation + full segment walk each).  Compare against
-  // BM_KernelCrSoA for the SoA kernel speedup (bench_perf's JSON
-  // artifact reports the same race as kernel_sweep_*).
-  const ProportionalAlgorithm algo(7, 4);
-  const Fleet fleet = algo.build_fleet(2000);
-  const CrEvalOptions options{.window_hi = 48, .interior_samples = 16};
+  // BM_KernelCrSoA with the same Arg for the SoA kernel speedup.
+  const KernelScan scan = kernel_scan(state);
+  const Fleet& fleet = scan.fleet;
+  const int faults = scan.faults;
   for (auto _ : state) {
     benchmark::DoNotOptimize(detail::measure_cr_with(
-        fleet, 4, options,
-        [&fleet](const Real x) { return fleet.detection_time(x, 4); }));
+        fleet, faults, scan.options, [&fleet, faults](const Real x) {
+          return fleet.detection_time(x, faults);
+        }));
   }
 }
-BENCHMARK(BM_KernelCrScalar)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KernelCrScalar)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_KernelCrSoA(benchmark::State& state) {
   // The SoA kernel path on the identical scan (bit-identical result).
-  const ProportionalAlgorithm algo(7, 4);
-  const Fleet fleet = algo.build_fleet(2000);
-  const CrEvalOptions options{.window_hi = 48, .interior_samples = 16};
+  const KernelScan scan = kernel_scan(state);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(kernels::measure_cr_kernel(fleet, 4, options));
+    benchmark::DoNotOptimize(
+        kernels::measure_cr_kernel(scan.fleet, scan.faults, scan.options));
   }
   state.counters["simd"] = kernels::simd_compiled() ? 1 : 0;
 }
-BENCHMARK(BM_KernelCrSoA)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KernelCrSoA)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_Theorem2Root(benchmark::State& state) {
   int n = 2;
@@ -256,7 +290,7 @@ BENCHMARK(BM_InjectedExecution)->Arg(3)->Arg(11);
 
 void BM_DegradedSweep(benchmark::State& state) {
   // The full crash -> detect -> re-plan -> re-measure pipeline over the
-  // regime grid (the perf report's degraded_sweep workload).
+  // regime grid (bench_fault_regimes prints its rows).
   DegradedSweepOptions options;
   options.n_max = static_cast<int>(state.range(0));
   options.max_crashes = 1;
@@ -268,8 +302,7 @@ BENCHMARK(BM_DegradedSweep)->Arg(4)->Arg(6)->Unit(benchmark::kMillisecond);
 
 void BM_ByzantineSweep(benchmark::State& state) {
   // The quorum-CR scan of every regime pair against the arXiv:1611.08209
-  // closed form (the perf report's byzantine_sweep workload; also
-  // reachable alone via --workload byzantine).
+  // closed form (bench_fault_regimes prints its rows).
   ByzantineSweepOptions options;
   options.n_max = static_cast<int>(state.range(0));
   for (auto _ : state) {
@@ -280,8 +313,7 @@ BENCHMARK(BM_ByzantineSweep)->Arg(4)->Arg(6)->Unit(benchmark::kMillisecond);
 
 void BM_ProbabilisticSweep(benchmark::State& state) {
   // The exact expected-CR engine over the regime grid times a p grid
-  // (the perf report's probabilistic_sweep workload; also reachable
-  // alone via --workload probabilistic).  Every row here is a
+  // (bench_fault_regimes prints its rows).  Every row here is a
   // closed-form geometric-ladder summation — no Monte Carlo.
   ExpectationSweepOptions options;
   options.n_max = static_cast<int>(state.range(0));
@@ -295,6 +327,48 @@ BENCHMARK(BM_ProbabilisticSweep)
     ->Arg(4)
     ->Arg(6)
     ->Unit(benchmark::kMillisecond);
+
+/// Unbounded analytic backends of every regime pair with n <= 6: the
+/// fleets the exact-vs-Monte-Carlo race below evaluates.
+std::vector<Fleet> regime_backends() {
+  std::vector<Fleet> backends;
+  for (const auto& [n, f] : proportional_regime_pairs(6)) {
+    backends.push_back(ProportionalAlgorithm(n, f).build_unbounded_fleet());
+  }
+  return backends;
+}
+
+void BM_ExpectationExact(benchmark::State& state) {
+  // E[T(3.5)] at p = 0.4 in closed form (the geometric-ladder series),
+  // one point per regime pair.  BM_ExpectationMonteCarlo / this entry
+  // is what the exact engine saves over sampling the same expectations.
+  const std::vector<Fleet> backends = regime_backends();
+  ExpectationOptions options;
+  options.p = 0.4L;
+  for (auto _ : state) {
+    for (const Fleet& backend : backends) {
+      benchmark::DoNotOptimize(
+          expected_detection_time(backend, 3.5L, options));
+    }
+  }
+}
+BENCHMARK(BM_ExpectationExact)->Unit(benchmark::kMillisecond);
+
+void BM_ExpectationMonteCarlo(benchmark::State& state) {
+  // The same points as BM_ExpectationExact, estimated from 400 seeded
+  // realized fail schedules each.
+  const std::vector<Fleet> backends = regime_backends();
+  ProbabilisticMcOptions options;
+  options.p = 0.4L;
+  options.trials = 400;
+  for (auto _ : state) {
+    for (const Fleet& backend : backends) {
+      benchmark::DoNotOptimize(
+          mc_expected_detection_time(backend, 3.5L, options));
+    }
+  }
+}
+BENCHMARK(BM_ExpectationMonteCarlo)->Unit(benchmark::kMillisecond);
 
 void BM_ServiceQuery(benchmark::State& state) {
   // One NDJSON request through the in-process wire path (parse ->
@@ -313,6 +387,49 @@ void BM_ServiceQuery(benchmark::State& state) {
   state.counters["cache"] = no_cache ? 0 : 1;
 }
 BENCHMARK(BM_ServiceQuery)->Arg(0)->Arg(1);
+
+void BM_ServiceRestart(benchmark::State& state) {
+  // The warm-restart round trip (svc/snapshot): save a warmed server's
+  // result cache, load it into a fresh server and replay the hot set —
+  // one window-4096 request per regime pair with n <= 8.  hit_rate is
+  // the replay's cache hit rate; a restore that still misses is a cold
+  // start wearing a warm label.
+  std::vector<std::string> requests;
+  for (const auto& [n, f] : proportional_regime_pairs(8)) {
+    std::ostringstream request;
+    request << "{\"id\": " << requests.size() + 1
+            << ", \"op\": \"cr\", \"n\": " << n << ", \"f\": " << f
+            << ", \"window_hi\": 4096, \"interior_samples\": 64}";
+    requests.push_back(request.str());
+  }
+  svc::QueryServer warmed;
+  for (const std::string& request : requests) {
+    benchmark::DoNotOptimize(warmed.handle_line(request));
+  }
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            "linesearch-bench-svc-restart.snapshot")
+                               .string();
+  double hit_rate = 0;
+  for (auto _ : state) {
+    (void)svc::save_snapshot(warmed.service(), path);
+    svc::QueryServer restored;
+    const svc::SnapshotLoadReport loaded =
+        svc::load_snapshot(restored.service(), path);
+    if (!loaded.ok) {
+      state.SkipWithError("snapshot failed to restore");
+      break;
+    }
+    for (const std::string& request : requests) {
+      benchmark::DoNotOptimize(restored.handle_line(request));
+    }
+    const svc::QueryService::Stats stats = restored.service().stats();
+    hit_rate = static_cast<double>(stats.cache_hits) /
+               static_cast<double>(stats.queries);
+  }
+  std::filesystem::remove(path);
+  state.counters["hit_rate"] = hit_rate;
+}
+BENCHMARK(BM_ServiceRestart)->Unit(benchmark::kMillisecond);
 
 void BM_AdversarialGame(benchmark::State& state) {
   const int n = 3, f = 1;
@@ -339,72 +456,3 @@ void BM_StarDetection(benchmark::State& state) {
 BENCHMARK(BM_StarDetection)->Arg(3)->Arg(5);
 
 }  // namespace
-
-int main(int argc, char** argv) {
-  bool timings_only = false;
-  std::string json_path = "BENCH_perf.json";
-  std::string workload;
-
-  CliParser cli("bench_perf",
-                "microbenchmark the hot kernels and write the "
-                "BENCH_perf.json artifact");
-  cli.add_flag("timings-only", &timings_only,
-               "skip the microbenchmarks' checksum workloads in the JSON "
-               "artifact");
-  cli.add_option("json", &json_path, "PATH",
-                 "artifact output path (default BENCH_perf.json)");
-  cli.add_option(
-      "workload", &workload, "NAME",
-      "narrow the microbenchmark run: "
-      "byzantine|degraded|service|probabilistic");
-  // google-benchmark owns everything spelled --benchmark_*.
-  cli.add_passthrough_prefix("--benchmark_");
-  if (!cli.parse(argc, argv)) {
-    std::cerr << cli.error() << '\n' << cli.usage();
-    return 2;
-  }
-
-  // --workload narrows the microbenchmark run to one family; the JSON
-  // artifact below still carries every summary object (including the
-  // schema /6 svc_load capacity numbers), so a focused run stays a
-  // complete report.
-  static std::string filter;
-  std::vector<char*> args;
-  args.push_back(argv[0]);
-  if (!workload.empty()) {
-    if (workload == "byzantine") {
-      filter = "--benchmark_filter=BM_ByzantineSweep";
-    } else if (workload == "degraded") {
-      filter = "--benchmark_filter=BM_DegradedSweep";
-    } else if (workload == "service") {
-      filter = "--benchmark_filter=BM_ServiceQuery";
-    } else if (workload == "probabilistic") {
-      filter = "--benchmark_filter=BM_ProbabilisticSweep";
-    } else {
-      std::cerr << "bench_perf: unknown --workload '" << workload
-                << "' (expected byzantine|degraded|service|probabilistic)\n";
-      return 1;
-    }
-    args.push_back(filter.data());
-  }
-  // Forward the collected --benchmark_* args unparsed.
-  std::vector<std::string> passthrough = cli.passthrough();
-  for (std::string& arg : passthrough) args.push_back(arg.data());
-  int filtered_argc = static_cast<int>(args.size());
-
-  if (!timings_only) {
-    benchmark::Initialize(&filtered_argc, args.data());
-    if (benchmark::ReportUnrecognizedArguments(filtered_argc, args.data())) {
-      return 1;
-    }
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-  }
-  // The JSON artifact lives in the library (obs/perf_report) so tests
-  // can pin its schema; --timings-only genuinely skips the checksum
-  // workloads there (it used to run them all regardless of the flag).
-  std::ofstream out(json_path);
-  obs::write_perf_report(out, {.timings_only = timings_only});
-  std::cerr << "wrote " << json_path << '\n';
-  return 0;
-}

@@ -5,7 +5,7 @@
 // server writes one atomically on graceful drain and on a SIGUSR1
 // checkpoint (tools/serve_main --snapshot), and restores it on startup
 // — answering hot-set queries warm from the first request (the
-// `svc_restart` BENCH_perf workload measures the round trip).
+// bench_perf's `BM_ServiceRestart` entry times the round trip).
 //
 // Format (text, one record per line):
 //   linesearch-svc-snapshot/1

@@ -20,9 +20,11 @@ namespace {
 constexpr Real kExtent = 256;  // power of two, comfortably > window_hi
 const CrEvalOptions kWindow{.window_lo = 1, .window_hi = 16};
 
-void expect_equivalent(const SearchStrategy& strategy, const int f) {
+void expect_equivalent(const SearchStrategy& strategy, const int f,
+                       const Real extent = kExtent,
+                       const CrEvalOptions& window = kWindow) {
   const verify::DifferentialResult result =
-      verify::diff_dense_vs_analytic(strategy, kExtent, f, kWindow);
+      verify::diff_dense_vs_analytic(strategy, extent, f, window);
   EXPECT_TRUE(result.applicable) << strategy.name();
   EXPECT_TRUE(result.passed) << strategy.name() << ": " << result.message;
 }
@@ -44,6 +46,11 @@ TEST(GoldenAnalytic, AllRegimePairsProportional) {
   for (const auto& [n, f] : pairs) {
     expect_equivalent(ProportionalAlgorithm(n, f), f);
   }
+  // The deepest pair packs the most segments into a window: at window
+  // 1024 (dense extent 4x that) the closed forms run 64x further than
+  // the grid above and must still match bit for bit.
+  expect_equivalent(ProportionalAlgorithm(12, 11), 11, 4096,
+                    {.window_lo = 1, .window_hi = 1024});
 }
 
 TEST(GoldenAnalytic, AllRegimePairsBounded) {

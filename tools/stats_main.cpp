@@ -13,9 +13,11 @@
 // ("how many probes did that sweep really run?") and a quick manual
 // determinism check outside the test suite.
 //
-// Usage: stats_main [--workload=dense|analytic|game|runtime|degraded|
-//                      byzantine|service|probabilistic|fuzz|all]
-//                   [--threads=N] [--json=PATH] [--deterministic-only]
+// Usage: stats_main [--workload=NAME|all] [--threads=N] [--json=PATH]
+//                   [--deterministic-only]
+// where NAME is one entry of kWorkloads below (the usage text lists
+// them).
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <ostream>
@@ -38,6 +40,7 @@
 #include "sim/faults.hpp"
 #include "svc/query.hpp"
 #include "util/cli.hpp"
+#include "util/format.hpp"
 #include "util/jsonio.hpp"
 #include "util/parallel.hpp"
 #include "verify/fuzz.hpp"
@@ -46,8 +49,8 @@ namespace {
 
 using namespace linesearch;
 
-/// The dense A(7, 4) grid shared with obs/perf_report: every fault
-/// budget crossed with three windows.
+/// The dense A(7, 4) grid bench_perf's BM_DenseCrSweep* pair times:
+/// every fault budget crossed with three windows.
 void run_dense(const int threads) {
   const ProportionalAlgorithm algo(7, 4);
   const Fleet fleet = algo.build_fleet(2000);
@@ -155,6 +158,32 @@ void run_probabilistic() {
   (void)expected_detection_time(fleet, 2, divergent);
 }
 
+struct Workload {
+  const char* name;
+  void (*run)(int threads);
+};
+
+/// Every workload, in the order --workload=all runs them.
+constexpr Workload kWorkloads[] = {
+    {"dense", run_dense},
+    {"analytic", [](int) { run_analytic(); }},
+    {"game", run_game},
+    {"runtime", [](int) { run_runtime(); }},
+    {"degraded", [](int) { run_degraded(); }},
+    {"byzantine", run_byzantine_workload},
+    {"service", [](int) { run_service(); }},
+    {"probabilistic", [](int) { run_probabilistic(); }},
+    {"fuzz", [](int) { run_fuzz(); }},
+};
+
+/// The valid --workload values, kWorkloads' names then "all".
+std::vector<std::string> workload_names() {
+  std::vector<std::string> names;
+  for (const Workload& entry : kWorkloads) names.emplace_back(entry.name);
+  names.emplace_back("all");
+  return names;
+}
+
 }  // namespace
 
 int main(const int argc, const char* const* argv) {
@@ -167,8 +196,7 @@ int main(const int argc, const char* const* argv) {
                 "run instrumented workloads and dump the obs metric "
                 "registry as JSON");
   cli.add_option("workload", &workload, "NAME",
-                 "dense|analytic|game|runtime|degraded|byzantine|service|"
-                 "probabilistic|fuzz|all (default all)");
+                 join(workload_names(), "|") + " (default all)");
   cli.add_option("threads", &threads, "N",
                  "worker threads (0 = LINESEARCH_THREADS / hardware)");
   cli.add_option("json", &json_path, "PATH",
@@ -180,29 +208,18 @@ int main(const int argc, const char* const* argv) {
     return 2;
   }
 
-  const bool all = workload == "all";
-  if (!all && workload != "dense" && workload != "analytic" &&
-      workload != "game" && workload != "runtime" &&
-      workload != "degraded" && workload != "byzantine" &&
-      workload != "service" && workload != "probabilistic" &&
-      workload != "fuzz") {
+  const std::vector<std::string> names = workload_names();
+  if (std::find(names.begin(), names.end(), workload) == names.end()) {
     std::cerr << "stats_main: unknown --workload '" << workload
-              << "' (valid: dense, analytic, game, runtime, degraded, "
-                 "byzantine, service, probabilistic, fuzz, all)\n"
+              << "' (valid: " << join(names, ", ") << ")\n"
               << cli.usage();
     return 2;
   }
 
   obs::Registry::instance().reset();
-  if (all || workload == "dense") run_dense(threads);
-  if (all || workload == "analytic") run_analytic();
-  if (all || workload == "game") run_game(threads);
-  if (all || workload == "runtime") run_runtime();
-  if (all || workload == "degraded") run_degraded();
-  if (all || workload == "byzantine") run_byzantine_workload(threads);
-  if (all || workload == "service") run_service();
-  if (all || workload == "probabilistic") run_probabilistic();
-  if (all || workload == "fuzz") run_fuzz();
+  for (const Workload& entry : kWorkloads) {
+    if (workload == "all" || workload == entry.name) entry.run(threads);
+  }
 
   std::ofstream file;
   if (!json_path.empty()) file.open(json_path);
