@@ -179,7 +179,7 @@ BENCHMARK(BM_AnalyticCrSweep)->Unit(benchmark::kMillisecond);
 /// The scan the BM_KernelCr{Scalar,SoA} pair races.  Arg(0): the dense
 /// A(7, 4) fleet over window 48.  Arg(1): A(12, 11) on the analytic
 /// backend over 2^20 — the deepest regime pair, where the per-probe
-/// segment walk the kernel replaces dominates the scalar scan.
+/// segment walk the sweep fill replaces dominates the per-probe path.
 struct KernelScan {
   Fleet fleet;
   int faults;
@@ -214,11 +214,10 @@ void BM_KernelCrScalar(benchmark::State& state) {
 BENCHMARK(BM_KernelCrScalar)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_KernelCrSoA(benchmark::State& state) {
-  // The SoA kernel path on the identical scan (bit-identical result).
+  // measure_cr (SoA sweep fill) on the identical scan; bit-identical.
   const KernelScan scan = kernel_scan(state);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        kernels::measure_cr_kernel(scan.fleet, scan.faults, scan.options));
+    benchmark::DoNotOptimize(measure_cr(scan.fleet, scan.faults, scan.options));
   }
   state.counters["simd"] = kernels::simd_compiled() ? 1 : 0;
 }

@@ -112,16 +112,32 @@ std::vector<Real> probe_magnitudes(const Fleet& fleet, const int side,
   return probes;
 }
 
-CrEvalResult measure_cr_with(const Fleet& fleet, const int f,
-                             const CrEvalOptions& options,
-                             const DetectionOracle& oracle) {
-  expects(f >= 0, "measure_cr: f must be >= 0");
+ProbeBatch build_probe_batch(const Fleet& fleet,
+                             const CrEvalOptions& options) {
   expects(options.window_lo > 0, "measure_cr: window_lo must be positive");
   expects(options.window_hi > options.window_lo,
           "measure_cr: window_hi must exceed window_lo");
+  ProbeBatch batch;
+  for (const int side : {+1, -1}) {
+    const std::vector<Real> magnitudes = probe_magnitudes(fleet, side, options);
+    if (side > 0) batch.positive_count = magnitudes.size();
+    batch.magnitudes.insert(batch.magnitudes.end(), magnitudes.begin(),
+                            magnitudes.end());
+    batch.sides.insert(batch.sides.end(), magnitudes.size(),
+                       static_cast<std::int8_t>(side));
+  }
+  return batch;
+}
+
+CrEvalResult scan_probes(const ProbeBatch& batch,
+                         const std::vector<Real>& detection,
+                         const CrEvalOptions& options) {
+  expects(detection.size() == batch.size(),
+          "scan_probes: one detection time per probe");
   LS_OBS_SPAN("eval.cr.scan");
 
   CrEvalResult result;
+  result.probes = static_cast<int>(batch.size());
   Real pos_best_x = 0;
   Real neg_best_x = 0;
   // Counters are accumulated locally and recorded once per scan below:
@@ -129,14 +145,16 @@ CrEvalResult measure_cr_with(const Fleet& fleet, const int f,
   // library's hottest (the sums are identical either way).
   std::uint64_t refinements = 0;
   for (const int side : {+1, -1}) {
+    const std::size_t begin = side > 0 ? 0 : batch.positive_count;
+    const std::size_t end = side > 0 ? batch.positive_count : batch.size();
     Real best = 0;
     Real best_x = 0;
     bool any_detected = false;
     Real first_undetected_x = 0;
-    for (const Real magnitude : probe_magnitudes(fleet, side, options)) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const Real magnitude = batch.magnitudes[i];
       const Real x = static_cast<Real>(side) * magnitude;
-      const Real time = oracle(x);
-      ++result.probes;
+      const Real time = detection[i];
       if (std::isinf(time)) {
         if (options.require_finite) {
           throw NumericError(
@@ -188,16 +206,31 @@ CrEvalResult measure_cr_with(const Fleet& fleet, const int f,
   return result;
 }
 
+CrEvalResult measure_cr_with(const Fleet& fleet, const int f,
+                             const CrEvalOptions& options,
+                             const DetectionOracle& oracle) {
+  expects(f >= 0, "measure_cr: f must be >= 0");
+  const ProbeBatch batch = build_probe_batch(fleet, options);
+  std::vector<Real> detection(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    detection[i] = oracle(static_cast<Real>(batch.sides[i]) *
+                          batch.magnitudes[i]);
+  }
+  return scan_probes(batch, detection, options);
+}
+
 }  // namespace detail
 
 CrEvalResult measure_cr(const Fleet& fleet, const int f,
                         const CrEvalOptions& options) {
-  // SoA fast path (eval/kernels): same probes, same scan, detection
-  // times batched through one frontier sweep per robot.  The scalar
-  // reference below it stays reachable through detail::measure_cr_with
-  // with a direct oracle — the scalar-vs-SIMD differential holds the two
-  // bit-identical.
-  return kernels::measure_cr_kernel(fleet, f, options);
+  expects(f >= 0, "measure_cr: f must be >= 0");
+  const detail::ProbeBatch batch = detail::build_probe_batch(fleet, options);
+  // Reused across calls on each thread so the sweep's working storage is
+  // allocated once per thread, not once per scan.  Every member is
+  // written before it is read, so reuse cannot leak state.
+  static thread_local kernels::VisitColumns columns;
+  kernels::fill_visit_columns(fleet, f, batch, columns);
+  return detail::scan_probes(batch, columns.detection, options);
 }
 
 std::vector<Real> k_profile(const Fleet& fleet, const int f,

@@ -13,13 +13,16 @@
 // All probes use the fleet's exact detection_time; the only approximation
 // is the eps offset (relative 1e-9).
 //
-// measure_cr runs the SoA probe kernel (eval/kernels).  The scalar
-// reference scan stays available, detection-oracle-agnostic, as
-// detail::measure_cr_with: the scalar-vs-SIMD differential and the
-// expectation engine drive it with their own oracles, and the kernel is
-// held bit-identical to it.
+// One probe set and one supremum loop serve every probe-based evaluator:
+// detail::build_probe_batch places the probes and detail::scan_probes
+// turns a parallel array of detection times into the supremum.  The
+// drivers differ only in how they fill that array: measure_cr through
+// the SoA frontier sweep (eval/kernels), detail::measure_cr_with through
+// an arbitrary oracle, probe by probe (the expectation engine, the
+// turn-cost model and the scalar-vs-SIMD differential use it).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -65,17 +68,41 @@ struct CrEvalResult {
 
 namespace detail {
 
-/// Detection-time oracle: must agree bit-for-bit with
-/// Fleet::detection_time(x, f) of the fleet being measured.
+/// Detection-time oracle: the detection time of a target at x.
 using DetectionOracle = std::function<Real(Real x)>;
 
-/// The probe magnitudes measure_cr evaluates on one half-line (exposed
-/// for the SoA kernel and tests).
+/// The probe magnitudes measure_cr evaluates on one half-line.
 [[nodiscard]] std::vector<Real> probe_magnitudes(const Fleet& fleet,
                                                  int side,
                                                  const CrEvalOptions& options);
 
-/// The probe scan behind measure_cr, parameterized over the oracle.
+/// SoA probe layout for one CR scan: parallel arrays over BOTH
+/// half-lines in emission order (side +1 first).  Magnitudes are
+/// window-clamped and exact-deduplicated per side.
+struct ProbeBatch {
+  std::vector<Real> magnitudes;    ///< |x| per probe, emission order
+  std::vector<std::int8_t> sides;  ///< +1 / -1, parallel to magnitudes
+  std::size_t positive_count = 0;  ///< probes [0, positive_count) are side +1
+
+  [[nodiscard]] std::size_t size() const noexcept { return magnitudes.size(); }
+};
+
+/// Both half-lines' probe_magnitudes, concatenated with side tags.
+/// Throws PreconditionError on an empty or non-positive window.
+[[nodiscard]] ProbeBatch build_probe_batch(const Fleet& fleet,
+                                           const CrEvalOptions& options);
+
+/// The supremum scan: `detection[i]` is the detection time of probe i
+/// (at signed position sides[i] * magnitudes[i]).  Applies the
+/// require_finite rule, reports a fully undetected half-line as
+/// kInfinity, breaks cross-side ties toward the positive side and
+/// records the eval.cr.* counters.
+[[nodiscard]] CrEvalResult scan_probes(const ProbeBatch& batch,
+                                       const std::vector<Real>& detection,
+                                       const CrEvalOptions& options);
+
+/// measure_cr with detection times taken from `oracle`, one call per
+/// probe in batch order.
 [[nodiscard]] CrEvalResult measure_cr_with(const Fleet& fleet, int f,
                                            const CrEvalOptions& options,
                                            const DetectionOracle& oracle);

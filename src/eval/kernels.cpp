@@ -1,11 +1,8 @@
 #include "eval/kernels.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/simd.hpp"
 
@@ -13,23 +10,9 @@ namespace linesearch::kernels {
 
 bool simd_compiled() noexcept { return kSimdCompiled; }
 
-ProbeBatch build_probe_batch(const Fleet& fleet,
-                             const CrEvalOptions& options) {
-  ProbeBatch batch;
-  for (const int side : {+1, -1}) {
-    const std::vector<Real> magnitudes =
-        detail::probe_magnitudes(fleet, side, options);
-    if (side > 0) batch.positive_count = magnitudes.size();
-    batch.magnitudes.insert(batch.magnitudes.end(), magnitudes.begin(),
-                            magnitudes.end());
-    batch.sides.insert(batch.sides.end(), magnitudes.size(),
-                       static_cast<std::int8_t>(side));
-  }
-  return batch;
-}
-
 void fill_visit_columns(const Fleet& fleet, const int f,
-                        const ProbeBatch& batch, VisitColumns& columns) {
+                        const detail::ProbeBatch& batch,
+                        VisitColumns& columns) {
   expects(f >= 0, "fill_visit_columns: f must be >= 0");
   const std::size_t robots = fleet.size();
   const std::size_t total = batch.size();
@@ -66,7 +49,7 @@ void fill_visit_columns(const Fleet& fleet, const int f,
   std::rotate(order, order + positives, order + total);
   columns.sorted_x.resize(total);
   for (std::size_t p = 0; p < total; ++p) {
-    // Same product the scalar scan feeds its oracle.
+    // Same product detail::measure_cr_with feeds its oracle.
     const std::uint32_t i = order[p];
     columns.sorted_x[p] = static_cast<Real>(sides[i]) * magnitudes[i];
   }
@@ -147,85 +130,6 @@ void fill_visit_columns(const Fleet& fleet, const int f,
   for (std::size_t p = 0; p < total; ++p) {
     columns.detection[columns.order[p]] = scratch[p * limit + answer_at];
   }
-}
-
-CrEvalResult measure_cr_kernel(const Fleet& fleet, const int f,
-                               const CrEvalOptions& options) {
-  // Same preconditions, span, counters and scan semantics as
-  // detail::measure_cr_with — only the detection times are precomputed
-  // in bulk instead of queried one probe at a time.
-  expects(f >= 0, "measure_cr: f must be >= 0");
-  expects(options.window_lo > 0, "measure_cr: window_lo must be positive");
-  expects(options.window_hi > options.window_lo,
-          "measure_cr: window_hi must exceed window_lo");
-  LS_OBS_SPAN("eval.cr.scan");
-
-  const ProbeBatch batch = build_probe_batch(fleet, options);
-  // Reused across calls on each thread so the robots x probes matrix is
-  // allocated once per thread, not once per scan.  Results are written
-  // before they are read each call, so reuse cannot leak state.
-  static thread_local VisitColumns columns;
-  fill_visit_columns(fleet, f, batch, columns);
-
-  CrEvalResult result;
-  Real pos_best_x = 0;
-  Real neg_best_x = 0;
-  std::uint64_t refinements = 0;
-  for (const int side : {+1, -1}) {
-    const std::size_t begin = side > 0 ? 0 : batch.positive_count;
-    const std::size_t end = side > 0 ? batch.positive_count : batch.size();
-    Real best = 0;
-    Real best_x = 0;
-    bool any_detected = false;
-    Real first_undetected_x = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-      const Real magnitude = batch.magnitudes[i];
-      const Real x = static_cast<Real>(side) * magnitude;
-      const Real time = columns.detection[i];
-      ++result.probes;
-      if (std::isinf(time)) {
-        if (options.require_finite) {
-          throw NumericError(
-              "measure_cr: undetected probe — fleet extent too small for "
-              "the measurement window");
-        }
-        ++result.undetected_probes;
-        if (first_undetected_x == 0) first_undetected_x = x;
-        continue;
-      }
-      any_detected = true;
-      const Real ratio = time / magnitude;
-      if (ratio > best) {
-        best = ratio;
-        best_x = x;
-        ++refinements;
-      }
-    }
-    if (!any_detected && first_undetected_x != 0) {
-      best = kInfinity;
-      best_x = first_undetected_x;
-    }
-    if (side > 0) {
-      result.cr_positive = best;
-      pos_best_x = best_x;
-    } else {
-      result.cr_negative = best;
-      neg_best_x = best_x;
-    }
-  }
-  if (result.cr_negative > result.cr_positive) {
-    result.cr = result.cr_negative;
-    result.argmax = neg_best_x;
-  } else {
-    result.cr = result.cr_positive;
-    result.argmax = pos_best_x;
-  }
-  LS_OBS_COUNT("eval.cr.probes", result.probes);
-  LS_OBS_COUNT("eval.cr.undetected_probes", result.undetected_probes);
-  LS_OBS_COUNT("eval.cr.supremum_refinements", refinements);
-  LS_OBS_OBSERVE("eval.cr.probes_per_scan", result.probes,
-                 {16, 64, 256, 1024, 4096});
-  return result;
 }
 
 }  // namespace linesearch::kernels

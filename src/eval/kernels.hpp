@@ -1,30 +1,24 @@
-// eval/kernels.hpp — structure-of-arrays kernels behind measure_cr.
+// eval/kernels.hpp — the structure-of-arrays detection fill behind
+// measure_cr.
 //
-// The scalar probe scan (eval/cr_eval detail::measure_cr_with) asks the
-// fleet one detection time per probe; every such query allocates a times
-// vector, walks every robot's segment list from the start, and goes
-// through a std::function oracle.  The kernels here restructure the same
-// computation as three flat passes over parallel arrays:
+// Asking the fleet one detection time per probe (Fleet::detection_time)
+// allocates a times vector and walks every robot's segment list from the
+// start, once per probe.  fill_visit_columns answers a whole
+// detail::ProbeBatch (eval/cr_eval) instead: one frontier sweep per
+// robot (ScheduleSource::first_visit_times_into) over the
+// position-sorted probes, both half-lines in one sorted array, streamed
+// straight into the per-probe (f+1)-st order statistic — a
+// bounded-buffer selection over the cheaper side of the statistic that
+// never materializes the robots x probes visit matrix.  measure_cr hands
+// the filled column to detail::scan_probes, the one supremum loop.
 //
-//   1. ProbeBatch — probe classification fused into one emission pass
-//      (magnitudes and side tags in parallel arrays, both half-lines,
-//      scan order);
-//   2. VisitColumns — per-robot first-visit rows at the position-sorted
-//      probes (both half-lines in one sorted array), each filled by ONE
-//      frontier sweep (ScheduleSource::first_visit_times_into) into a
-//      reused row and streamed straight into the per-probe (f+1)-st
-//      order statistic — a bounded-buffer selection over the cheaper
-//      side of the statistic, never materializing the visit matrix;
-//   3. the unchanged supremum scan over the precomputed columns.
-//
-// Bit-identity contract: measure_cr_kernel(fleet, f, options) equals
-// detail::measure_cr_with with the direct Fleet::detection_time oracle
-// on EVERY result field, bitwise, in both the SIMD and the scalar
-// fallback build (util/simd.hpp).  The contract is enforced by the
-// scalar-vs-SIMD differential engine (verify/differential) and the
-// kernel test suite; the speed comes from eliminating per-probe heap
-// allocation and per-probe segment walks, with LS_SIMD_LOOP annotating
-// the elementwise passes.
+// Bit-identity contract: every filled detection time equals
+// Fleet::detection_time(side * magnitude, f), bitwise, in both the SIMD
+// and the scalar fallback build (util/simd.hpp), so measure_cr equals
+// detail::measure_cr_with over the direct Fleet::detection_time oracle
+// on every result field.  The scalar-vs-SIMD differential engine
+// (verify/differential) and the kernel test suite enforce it;
+// LS_SIMD_LOOP annotates the elementwise passes.
 #pragma once
 
 #include <cstdint>
@@ -35,22 +29,6 @@
 #include "util/real.hpp"
 
 namespace linesearch::kernels {
-
-/// SoA probe layout for one CR scan: parallel arrays over BOTH
-/// half-lines, in the scalar scan's emission order (side +1 first).
-/// Magnitudes are window-clamped and exact-deduplicated per side.
-struct ProbeBatch {
-  std::vector<Real> magnitudes;    ///< |x| per probe, emission order
-  std::vector<std::int8_t> sides;  ///< +1 / -1, parallel to magnitudes
-  std::size_t positive_count = 0;  ///< probes [0, positive_count) are side +1
-
-  [[nodiscard]] std::size_t size() const noexcept { return magnitudes.size(); }
-};
-
-/// Fused probe emission for both half-lines (one
-/// detail::probe_magnitudes pass per side, concatenated with side tags).
-[[nodiscard]] ProbeBatch build_probe_batch(const Fleet& fleet,
-                                           const CrEvalOptions& options);
 
 /// SoA visit-time columns for a probe batch.  `detection` is the result
 /// (parallel to the batch arrays, emission order); the remaining members
@@ -69,13 +47,9 @@ struct VisitColumns {
 /// magnitude, f) per probe, computed with ONE frontier sweep per robot
 /// covering both half-lines of the position-sorted batch, streamed
 /// through a bounded-buffer order-statistic selection.
-void fill_visit_columns(const Fleet& fleet, int f, const ProbeBatch& batch,
+void fill_visit_columns(const Fleet& fleet, int f,
+                        const detail::ProbeBatch& batch,
                         VisitColumns& columns);
-
-/// The SoA fast path behind measure_cr: identical contract, identical
-/// result fields (bitwise), identical obs counters.
-[[nodiscard]] CrEvalResult measure_cr_kernel(const Fleet& fleet, int f,
-                                             const CrEvalOptions& options);
 
 /// True when the kernels were compiled with `#pragma omp simd`
 /// (LINESEARCH_SIMD=ON); false in the scalar fallback build.

@@ -1,8 +1,5 @@
 #include "eval/turn_cost.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "analysis/stats.hpp"
 #include "util/error.hpp"
 
@@ -37,66 +34,10 @@ CrEvalResult measure_cr_with_turn_cost(const Fleet& fleet, const int faults,
                                        const Real cost_per_turn,
                                        const CrEvalOptions& options) {
   expects(cost_per_turn >= 0, "turn cost must be non-negative");
-  expects(options.window_lo > 0 && options.window_hi > options.window_lo,
-          "measure_cr_with_turn_cost: bad window");
-
-  // Reuse measure_cr's probe placement by probing the same positions:
-  // turning magnitudes (right limits), window endpoints, interior
-  // samples.  The probe set is reconstructed here because the effective
-  // time is not a Fleet query.
-  CrEvalResult result;
-  for (const int side : {+1, -1}) {
-    std::vector<Real> magnitudes = fleet.turning_positions_in(
-        side, options.window_lo * (1 - tol::kRelative), options.window_hi);
-    magnitudes.push_back(options.window_lo);
-    magnitudes.push_back(options.window_hi);
-    std::sort(magnitudes.begin(), magnitudes.end());
-
-    std::vector<Real> probes;
-    for (std::size_t i = 0; i < magnitudes.size(); ++i) {
-      probes.push_back(magnitudes[i]);
-      const Real just_past = magnitudes[i] * (1 + tol::kLimitProbe);
-      if (just_past <= options.window_hi) probes.push_back(just_past);
-      if (i + 1 < magnitudes.size()) {
-        for (int s = 1; s <= options.interior_samples; ++s) {
-          probes.push_back(magnitudes[i] +
-                           (magnitudes[i + 1] - magnitudes[i]) *
-                               static_cast<Real>(s) /
-                               static_cast<Real>(options.interior_samples + 1));
-        }
-      }
-    }
-
-    Real best = 0, best_x = 0;
-    for (const Real magnitude : probes) {
-      const Real x = static_cast<Real>(side) * magnitude;
-      const Real time = turn_cost_detection(fleet, x, faults, cost_per_turn);
-      ++result.probes;
-      if (std::isinf(time)) {
-        if (options.require_finite) {
-          throw NumericError(
-              "measure_cr_with_turn_cost: undetected probe — fleet extent "
-              "too small");
-        }
-        continue;
-      }
-      const Real ratio = time / magnitude;
-      if (ratio > best) {
-        best = ratio;
-        best_x = x;
-      }
-    }
-    if (side > 0) {
-      result.cr_positive = best;
-    } else {
-      result.cr_negative = best;
-    }
-    if (best > result.cr) {
-      result.cr = best;
-      result.argmax = best_x;
-    }
-  }
-  return result;
+  return detail::measure_cr_with(
+      fleet, faults, options, [&](const Real x) {
+        return turn_cost_detection(fleet, x, faults, cost_per_turn);
+      });
 }
 
 }  // namespace linesearch

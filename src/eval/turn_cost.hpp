@@ -36,9 +36,11 @@ namespace linesearch {
                                        int faults, Real cost_per_turn);
 
 /// Empirical competitive ratio under turn cost: sup over the window of
-/// turn_cost_detection(x)/|x|, probed like measure_cr (turning-point
-/// right-limits + interior samples).  With cost_per_turn == 0 this
-/// coincides with measure_cr exactly.
+/// turn_cost_detection(x)/|x| on measure_cr's probe set, through the
+/// same supremum scan (detail::measure_cr_with), so it shares the
+/// require_finite, undetected-half-line and tie-break rules and records
+/// the eval.cr.* counters.  With cost_per_turn == 0 every result field
+/// equals measure_cr's, bitwise.
 [[nodiscard]] CrEvalResult measure_cr_with_turn_cost(
     const Fleet& fleet, int faults, Real cost_per_turn,
     const CrEvalOptions& options = {});

@@ -512,9 +512,9 @@ DifferentialResult diff_scalar_vs_simd(const Fleet& fleet, const int f,
   CrEvalOptions relaxed = eval;
   relaxed.require_finite = false;
 
-  // (a) Full scan: the SoA kernel vs the scalar reference loop backed by
-  // direct (unbatched) Fleet queries.
-  const CrEvalResult kernel = kernels::measure_cr_kernel(fleet, f, relaxed);
+  // (a) Full scan: measure_cr's batched sweep fill vs direct (unbatched)
+  // Fleet queries, both through the same probe set and supremum scan.
+  const CrEvalResult kernel = measure_cr(fleet, f, relaxed);
   const CrEvalResult scalar = detail::measure_cr_with(
       fleet, f, relaxed,
       [&fleet, f](const Real x) { return fleet.detection_time(x, f); });
@@ -522,8 +522,8 @@ DifferentialResult diff_scalar_vs_simd(const Fleet& fleet, const int f,
 
   // (b) Columns: every batched per-probe detection time vs the scalar
   // oracle at the identical signed position (the same side * magnitude
-  // product the kernel feeds its sweep).
-  const kernels::ProbeBatch batch = kernels::build_probe_batch(fleet, relaxed);
+  // product measure_cr_with feeds its oracle).
+  const detail::ProbeBatch batch = detail::build_probe_batch(fleet, relaxed);
   kernels::VisitColumns columns;
   kernels::fill_visit_columns(fleet, f, batch, columns);
   for (std::size_t i = 0; i < batch.size(); ++i) {

@@ -10,8 +10,8 @@
 //   dense grid sweep   (eval/batch k_profile over a geometric grid)
 //
 // Differential engines demand the right relation between each pair:
-// bit-identical where the contract is exact (thread counts, SoA kernel
-// vs scalar scan), tolerance-bounded where an epsilon is part of
+// bit-identical where the contract is exact (thread counts, SoA sweep
+// fill vs direct queries), tolerance-bounded where an epsilon is part of
 // the design (probe scan sits 1e-9 below the certified sup; a finite
 // grid sits at or below it).  A mismatch produces a structured report
 // naming the job, the field and both values, so a fuzzer failure is
@@ -160,9 +160,10 @@ struct DifferentialOptions {
     int n, int f, Real p, const std::vector<Real>& targets,
     std::uint64_t seed = 0x5eed0bab01234567ULL, int trials = 400);
 
-/// SoA kernel path (eval/kernels measure_cr_kernel) vs the scalar
-/// reference scan driven by direct Fleet queries: every CrEvalResult
-/// field bit-identical, and every batched per-probe detection time
+/// measure_cr's batched sweep fill (eval/kernels fill_visit_columns) vs
+/// direct Fleet::detection_time queries through the same probe set and
+/// supremum scan (detail::measure_cr_with): every CrEvalResult field
+/// bit-identical, and every batched per-probe detection time
 /// bit-identical to Fleet::detection_time at the same signed position.
 /// This is the differential that licenses the configure-time SIMD
 /// switch — it must hold on both LINESEARCH_SIMD builds.

@@ -1,6 +1,7 @@
 // SoA kernel layer (eval/kernels, sim/visit_sweep, eval/interval_lines
 // columns): bit-identity against the scalar reference paths, the probe
-// dedup/window regressions, and the pinned order-statistic tie-breaks.
+// batch (eval/cr_eval) dedup/window regressions, and the pinned
+// order-statistic tie-breaks.
 #include "eval/kernels.hpp"
 
 #include <gtest/gtest.h>
@@ -185,8 +186,7 @@ TEST(ProbeBatch, ConcatenatesSidesInEmissionOrder) {
   const Fleet fleet = ProportionalAlgorithm(5, 2).build_fleet(64);
   CrEvalOptions options;
   options.window_hi = 16;
-  const kernels::ProbeBatch batch =
-      kernels::build_probe_batch(fleet, options);
+  const detail::ProbeBatch batch = detail::build_probe_batch(fleet, options);
   const std::vector<Real> positive =
       detail::probe_magnitudes(fleet, +1, options);
   const std::vector<Real> negative =
@@ -212,8 +212,7 @@ TEST(VisitColumns, DetectionMatchesFleetQueriesProbeByProbe) {
         analytic ? algo.build_unbounded_fleet() : algo.build_fleet(64);
     CrEvalOptions options;
     options.window_hi = 16;
-    const kernels::ProbeBatch batch =
-        kernels::build_probe_batch(fleet, options);
+    const detail::ProbeBatch batch = detail::build_probe_batch(fleet, options);
     kernels::VisitColumns columns;
     for (const int f : {0, 2, 4}) {
       kernels::fill_visit_columns(fleet, f, batch, columns);
@@ -232,7 +231,7 @@ TEST(VisitColumns, DetectionMatchesFleetQueriesProbeByProbe) {
 
 TEST(VisitColumns, FaultBudgetBeyondFleetSizeIsAllUndetected) {
   const Fleet fleet = ProportionalAlgorithm(3, 1).build_fleet(64);
-  const kernels::ProbeBatch batch = kernels::build_probe_batch(fleet, {});
+  const detail::ProbeBatch batch = detail::build_probe_batch(fleet, {});
   kernels::VisitColumns columns;
   kernels::fill_visit_columns(fleet, 3, batch, columns);
   for (const Real time : columns.detection) {
@@ -261,8 +260,7 @@ TEST(MeasureCrKernel, BitIdenticalToScalarAcrossAllRegimePairs) {
     const int n = pair.first;
     const int f = pair.second;
     const Fleet fleet = ProportionalAlgorithm(n, f).build_fleet(64);
-    const CrEvalResult kernel =
-        kernels::measure_cr_kernel(fleet, f, options);
+    const CrEvalResult kernel = measure_cr(fleet, f, options);
     const CrEvalResult scalar = detail::measure_cr_with(
         fleet, f, options,
         [&fleet, f](const Real x) { return fleet.detection_time(x, f); });
@@ -287,8 +285,7 @@ TEST(MeasureCrKernel, BitIdenticalToScalarOnAnalyticBackend) {
     const int n = pair.first;
     const int f = pair.second;
     const Fleet fleet = ProportionalAlgorithm(n, f).build_unbounded_fleet();
-    const CrEvalResult kernel =
-        kernels::measure_cr_kernel(fleet, f, options);
+    const CrEvalResult kernel = measure_cr(fleet, f, options);
     const CrEvalResult scalar = detail::measure_cr_with(
         fleet, f, options,
         [&fleet, f](const Real x) { return fleet.detection_time(x, f); });
@@ -300,12 +297,16 @@ TEST(MeasureCrKernel, BitIdenticalToScalarOnAnalyticBackend) {
 }
 
 TEST(MeasureCrKernel, MeasureCrDelegatesToTheKernelPath) {
+  // measure_cr is the sweep fill followed by the shared supremum scan.
   const Fleet fleet = ProportionalAlgorithm(5, 2).build_fleet(64);
   CrEvalOptions options;
   options.window_hi = 16;
   const CrEvalResult via_facade = measure_cr(fleet, 2, options);
+  const detail::ProbeBatch batch = detail::build_probe_batch(fleet, options);
+  kernels::VisitColumns columns;
+  kernels::fill_visit_columns(fleet, 2, batch, columns);
   const CrEvalResult via_kernel =
-      kernels::measure_cr_kernel(fleet, 2, options);
+      detail::scan_probes(batch, columns.detection, options);
   EXPECT_TRUE(value_identical(via_facade.cr, via_kernel.cr));
   EXPECT_TRUE(value_identical(via_facade.argmax, via_kernel.argmax));
   EXPECT_EQ(via_facade.probes, via_kernel.probes);
@@ -315,10 +316,10 @@ TEST(MeasureCrKernel, UndetectedProbeThrowsLikeTheScalarScan) {
   const Fleet fleet = ProportionalAlgorithm(3, 1).build_fleet(4);
   CrEvalOptions options;
   options.window_hi = 4096;  // far beyond the fleet's reach
-  EXPECT_THROW((void)kernels::measure_cr_kernel(fleet, 1, options),
+  EXPECT_THROW((void)measure_cr(fleet, 1, options),
                NumericError);
   options.require_finite = false;
-  const CrEvalResult relaxed = kernels::measure_cr_kernel(fleet, 1, options);
+  const CrEvalResult relaxed = measure_cr(fleet, 1, options);
   EXPECT_GT(relaxed.undetected_probes, 0);
 }
 

@@ -5,13 +5,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/algorithm.hpp"
 #include "core/competitive.hpp"
+#include "eval/validation.hpp"
+#include "sim/faults.hpp"
 #include "util/error.hpp"
+#include "verify/invariants.hpp"
 
 namespace linesearch {
 namespace {
+
+using verify::value_identical;
 
 // 0 -> 2 -> -2 -> 3: turns at 2 (t=2) and -2 (t=6).
 Trajectory two_turns() {
@@ -72,16 +80,50 @@ TEST(TurnCostDetection, FaultBudgetBeyondFleetIsInfinity) {
 }
 
 TEST(TurnCostCr, ZeroCostCoincidesWithMeasureCr) {
-  const ProportionalAlgorithm algo(3, 1);
-  const Fleet fleet = algo.build_fleet(800);
-  const CrEvalOptions options{.window_hi = 16};
-  const CrEvalResult plain = measure_cr(fleet, 1, options);
+  // Same probe set, same supremum scan, and at c = 0 the same detection
+  // times: every result field must match measure_cr bit for bit.
+  const std::vector<std::pair<int, int>> pairs =
+      proportional_regime_pairs(12);
+  ASSERT_EQ(pairs.size(), 41u);
+  for (const auto& [n, f] : pairs) {
+    for (const Real window_hi : {16.0L, 64.0L, 256.0L}) {
+      const Fleet fleet =
+          ProportionalAlgorithm(n, f).build_fleet(4 * window_hi);
+      const CrEvalOptions options{.window_hi = window_hi};
+      const CrEvalResult plain = measure_cr(fleet, f, options);
+      const CrEvalResult with_cost =
+          measure_cr_with_turn_cost(fleet, f, 0, options);
+      const std::string where = "A(" + std::to_string(n) + "," +
+                                std::to_string(f) + ") window_hi " +
+                                std::to_string(static_cast<int>(window_hi));
+      EXPECT_TRUE(value_identical(with_cost.cr, plain.cr)) << where;
+      EXPECT_TRUE(value_identical(with_cost.argmax, plain.argmax)) << where;
+      EXPECT_TRUE(value_identical(with_cost.cr_positive, plain.cr_positive))
+          << where;
+      EXPECT_TRUE(value_identical(with_cost.cr_negative, plain.cr_negative))
+          << where;
+      EXPECT_EQ(with_cost.probes, plain.probes) << where;
+      EXPECT_EQ(with_cost.undetected_probes, plain.undetected_probes)
+          << where;
+    }
+  }
+}
+
+TEST(TurnCostCr, FullyUndetectedFleetIsInfinite) {
+  // Every robot crashes at t = 0.5, so no target with |x| >= 1 is ever
+  // found: each half-line's supremum is infinite, as in measure_cr.
+  const Fleet fleet = truncate_at_crashes(
+      ProportionalAlgorithm(3, 2).build_fleet(64), {0.5L, 0.5L, 0.5L});
+  const CrEvalOptions options{.window_hi = 16, .require_finite = false};
+  const CrEvalResult plain = measure_cr(fleet, 2, options);
   const CrEvalResult with_cost =
-      measure_cr_with_turn_cost(fleet, 1, 0, options);
-  // The probe sets are built independently, so agreement is limited by
-  // the 1e-9 right-limit offset, not by exact probe identity.
-  EXPECT_NEAR(static_cast<double>(with_cost.cr),
-              static_cast<double>(plain.cr), 1e-7);
+      measure_cr_with_turn_cost(fleet, 2, 1, options);
+  EXPECT_TRUE(std::isinf(with_cost.cr));
+  EXPECT_TRUE(std::isinf(with_cost.cr_positive));
+  EXPECT_TRUE(std::isinf(with_cost.cr_negative));
+  EXPECT_GT(with_cost.undetected_probes, 0);
+  EXPECT_EQ(with_cost.undetected_probes, plain.undetected_probes);
+  EXPECT_EQ(with_cost.undetected_probes, with_cost.probes);
 }
 
 TEST(TurnCostCr, CostIncreasesTheRatioMonotonically) {
