@@ -34,7 +34,6 @@
 #include "eval/cr_eval.hpp"
 #include "eval/exact.hpp"
 #include "eval/expectation.hpp"
-#include "eval/kernels.hpp"
 #include "eval/montecarlo.hpp"
 #include "eval/validation.hpp"
 #include "runtime/injector.hpp"
@@ -219,7 +218,6 @@ void BM_KernelCrSoA(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(measure_cr(scan.fleet, scan.faults, scan.options));
   }
-  state.counters["simd"] = kernels::simd_compiled() ? 1 : 0;
 }
 BENCHMARK(BM_KernelCrSoA)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 

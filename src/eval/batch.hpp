@@ -8,8 +8,8 @@
 //   * jobs fan out across workers, results land in JOB ORDER
 //     (parallel_map writes slot i from the worker that ran job i), so any
 //     downstream argmax/tie-break scan sees the serial sequence;
-//   * each job is one plain measure_cr call — the SoA probe kernel of
-//     eval/kernels — so a batch result is the serial result by
+//   * each job is one plain measure_cr call — the SoA probe fill of
+//     eval/cr_eval — so a batch result is the serial result by
 //     construction; jobs share nothing but their read-only fleets;
 //   * thread count comes from BatchOptions::threads, the
 //     LINESEARCH_THREADS env var, or the hardware, in that order; 1 means

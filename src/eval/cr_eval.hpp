@@ -17,9 +17,24 @@
 // detail::build_probe_batch places the probes and detail::scan_probes
 // turns a parallel array of detection times into the supremum.  The
 // drivers differ only in how they fill that array: measure_cr through
-// the SoA frontier sweep (eval/kernels), detail::measure_cr_with through
-// an arbitrary oracle, probe by probe (the expectation engine, the
-// turn-cost model and the scalar-vs-SIMD differential use it).
+// detail::fill_visit_columns, detail::measure_cr_with through an
+// arbitrary oracle, probe by probe (the expectation engine, the
+// turn-cost model and the sweep-vs-direct differential use it).
+//
+// fill_visit_columns is the structure-of-arrays detection fill.  Asking
+// the fleet one detection time per probe (Fleet::detection_time)
+// allocates a times vector and walks every robot's segment list from
+// the start, once per probe.  The fill answers a whole ProbeBatch
+// instead: one frontier sweep per robot
+// (ScheduleSource::first_visit_times_into) over the position-sorted
+// probes, both half-lines in one sorted array, streamed straight into
+// the per-probe (f+1)-st order statistic — a bounded-buffer selection
+// over the cheaper side of the statistic that never materializes the
+// robots x probes visit matrix.  Every filled time equals
+// Fleet::detection_time(side * magnitude, f) bitwise, so measure_cr
+// equals measure_cr_with over that oracle on every result field; the
+// sweep-vs-direct differential (verify/differential) and the kernel
+// test suite enforce it.
 #pragma once
 
 #include <cstdint>
@@ -91,6 +106,26 @@ struct ProbeBatch {
 /// Throws PreconditionError on an empty or non-positive window.
 [[nodiscard]] ProbeBatch build_probe_batch(const Fleet& fleet,
                                            const CrEvalOptions& options);
+
+/// SoA visit-time columns for a probe batch.  `detection` is the result
+/// (parallel to the batch arrays, emission order); the remaining members
+/// are reusable working storage so a sweep amortizes its allocations.
+struct VisitColumns {
+  std::vector<Real> detection;  ///< T_{f+1} per probe, emission order
+
+  std::vector<std::uint32_t> order;  ///< slice permutation, position-sorted
+  std::vector<Real> sorted_x;        ///< signed positions, ascending
+  std::vector<Real> first_visits;    ///< one robot's visit row, reused
+  std::vector<Real> selection;       ///< per-probe order-statistic scratch
+};
+
+/// Fill columns.detection with the worst-case detection time of every
+/// probe in `batch`: bit-identical to Fleet::detection_time(side *
+/// magnitude, f) per probe, computed with ONE frontier sweep per robot
+/// covering both half-lines of the position-sorted batch, streamed
+/// through a bounded-buffer order-statistic selection.
+void fill_visit_columns(const Fleet& fleet, int f, const ProbeBatch& batch,
+                        VisitColumns& columns);
 
 /// The supremum scan: `detection[i]` is the detection time of probe i
 /// (at signed position sides[i] * magnitudes[i]).  Applies the

@@ -7,7 +7,6 @@
 
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
-#include "util/simd.hpp"
 
 namespace linesearch::detail {
 
@@ -155,7 +154,6 @@ void evaluate_lines(LineColumns& columns, const Real x) {
   const unsigned char* finite = columns.finite.data();
   Real* at = columns.at.data();
   // Elementwise VisitLine::at — identical expression, parallel arrays.
-  LS_SIMD_LOOP
   for (std::size_t i = 0; i < count; ++i) {
     at[i] = finite[i] != 0 ? value[i] + slope[i] * (x - anchor[i])
                            : kInfinity;

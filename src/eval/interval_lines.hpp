@@ -48,8 +48,7 @@ struct VisitLine {
 /// Index of the line realizing the k-th smallest value at x.  Tie-break
 /// is PINNED to lowest-index-among-attainers: of all lines whose value
 /// at x equals the order statistic bit-for-bit, the smallest index wins
-/// — the same line on the AoS and SoA paths, in both SIMD and scalar
-/// builds.
+/// — the same line on the AoS and SoA paths.
 [[nodiscard]] std::size_t order_statistic_line(
     const std::vector<VisitLine>& lines, Real x, std::size_t k);
 
@@ -63,7 +62,7 @@ struct VisitLine {
 /// SoA layout of one interval's visit lines — the VisitLine fields in
 /// parallel columns plus reused evaluation buffers, so the certified
 /// evaluators run their order-statistic scans as flat elementwise passes
-/// (LS_SIMD_LOOP) with no per-candidate allocation.  Bit-identity:
+/// with no per-candidate allocation.  Bit-identity:
 /// every query below equals its AoS counterpart exactly — the evaluated
 /// expression, the selection and the tie-break are the same.
 struct LineColumns {

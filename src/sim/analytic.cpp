@@ -6,7 +6,6 @@
 #include "obs/metrics.hpp"
 #include "sim/visit_sweep.hpp"
 #include "util/error.hpp"
-#include "util/simd.hpp"
 
 namespace linesearch {
 namespace {
@@ -365,7 +364,6 @@ void AnalyticRay::first_visit_times_into(const Real* xs,
   // Closed form, elementwise: the ray reaches x at t = |x| iff x is on
   // its half-line (or the origin) — same branch as visit_times.
   const int direction = direction_;
-  LS_SIMD_LOOP
   for (std::size_t i = 0; i < count; ++i) {
     const Real x = xs[i];
     out[i] = (x == 0 || sign_of(x) == direction) ? std::fabs(x) : kInfinity;

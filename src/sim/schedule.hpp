@@ -79,7 +79,7 @@ class ScheduleSource {
   /// visit_times(xs[i], 1).  The base implementation loops the scalar
   /// query; backends override with a single frontier sweep over their
   /// segments (O(segments + count) instead of O(segments * count)), which
-  /// is what makes the SoA probe kernels in eval/kernels pay off.
+  /// is what makes the SoA probe fill in eval/cr_eval pay off.
   virtual void first_visit_times_into(const Real* xs, std::size_t count,
                                       Real* out) const;
 

@@ -78,6 +78,10 @@ const RegimeRow& row_of(const FaultRegime regime) {
 /// crash result comes from the crashes themselves.
 Real crash_extent(const CrQuery& query) { return 4 * query.window_hi; }
 
+/// Bound of the shared-fleet registry: past it, the oldest registered
+/// backend is dropped.
+constexpr std::size_t kMaxBackends = 256;
+
 /// The backend registry key: which immutable Fleet this query evaluates
 /// against.  Analytic regimes share the unbounded backend of their
 /// (strategy, n, f, beta); a truncating regime needs the dense build at
@@ -170,8 +174,8 @@ CrQuery canonicalize_query(CrQuery query) {
   expects(in_proportional_regime(query.n, query.f),
           "svc: (n, f) outside the proportional regime f < n < 2f+2");
   expects(query.window_lo > 0, "svc: window_lo must be positive");
-  expects(query.window_hi >= query.window_lo,
-          "svc: window_hi must be >= window_lo");
+  expects(query.window_hi > query.window_lo,
+          "svc: window_hi must exceed window_lo");
   expects(std::isfinite(query.window_lo) && std::isfinite(query.window_hi),
           "svc: probe window must be finite");
   expects(query.interior_samples >= 0,
@@ -246,7 +250,6 @@ QueryService::QueryService(QueryServiceOptions options)
   expects(options_.shard_count > 0, "svc: shard_count must be positive");
   expects(options_.shard_capacity > 0,
           "svc: shard_capacity must be positive");
-  expects(options_.max_backends > 0, "svc: max_backends must be positive");
   shards_.reserve(options_.shard_count);
   for (std::size_t i = 0; i < options_.shard_count; ++i) {
     shards_.push_back(std::make_unique<Shard>());
@@ -265,7 +268,7 @@ std::shared_ptr<const Fleet> QueryService::backend_for(
   // Bound the registry: evict the oldest registration.  In-use fleets
   // stay alive through their shared_ptr; eviction only drops the shared
   // slot, never an object under a running evaluation.
-  if (backends_.size() >= options_.max_backends) {
+  if (backends_.size() >= kMaxBackends) {
     backends_.erase(backend_order_.front());
     backend_order_.pop_front();
   }

@@ -135,7 +135,6 @@ struct QueryServiceOptions {
   std::size_t shard_count = 8;  ///< result-LRU shards over regime pairs
   std::size_t shard_capacity = 128;  ///< LRU entries per shard
   bool coalesce = true;         ///< merge identical in-flight queries
-  std::size_t max_backends = 256;  ///< shared-fleet registry bound
 };
 
 /// Thread-safe stateless-query front end: shared immutable backends +

@@ -9,7 +9,6 @@
 #include "core/competitive.hpp"
 #include "eval/exact.hpp"
 #include "eval/expectation.hpp"
-#include "eval/kernels.hpp"
 #include "eval/montecarlo.hpp"
 #include "runtime/arbitration.hpp"
 #include "runtime/world.hpp"
@@ -502,10 +501,10 @@ DifferentialResult diff_expectation_vs_montecarlo(
   return result;
 }
 
-DifferentialResult diff_scalar_vs_simd(const Fleet& fleet, const int f,
-                                       const CrEvalOptions& eval) {
+DifferentialResult diff_sweep_vs_direct(const Fleet& fleet, const int f,
+                                        const CrEvalOptions& eval) {
   DifferentialResult result;
-  result.name = "scalar_vs_simd";
+  result.name = "sweep_vs_direct";
   // A fleet that leaves probes undetected throws under require_finite on
   // BOTH paths with the same message; compare the relaxed results so the
   // engine reports value mismatches instead of aborting.
@@ -514,23 +513,23 @@ DifferentialResult diff_scalar_vs_simd(const Fleet& fleet, const int f,
 
   // (a) Full scan: measure_cr's batched sweep fill vs direct (unbatched)
   // Fleet queries, both through the same probe set and supremum scan.
-  const CrEvalResult kernel = measure_cr(fleet, f, relaxed);
-  const CrEvalResult scalar = detail::measure_cr_with(
+  const CrEvalResult sweep = measure_cr(fleet, f, relaxed);
+  const CrEvalResult direct = detail::measure_cr_with(
       fleet, f, relaxed,
       [&fleet, f](const Real x) { return fleet.detection_time(x, f); });
-  compare_results(result, 0, scalar, kernel);
+  compare_results(result, 0, direct, sweep);
 
-  // (b) Columns: every batched per-probe detection time vs the scalar
-  // oracle at the identical signed position (the same side * magnitude
+  // (b) Columns: every batched per-probe detection time vs the direct
+  // query at the identical signed position (the same side * magnitude
   // product measure_cr_with feeds its oracle).
   const detail::ProbeBatch batch = detail::build_probe_batch(fleet, relaxed);
-  kernels::VisitColumns columns;
-  kernels::fill_visit_columns(fleet, f, batch, columns);
+  detail::VisitColumns columns;
+  detail::fill_visit_columns(fleet, f, batch, columns);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Real x = static_cast<Real>(batch.sides[i]) * batch.magnitudes[i];
-    const Real direct = fleet.detection_time(x, f);
-    if (!value_identical(direct, columns.detection[i])) {
-      record(result, i, "detection", direct, columns.detection[i]);
+    const Real queried = fleet.detection_time(x, f);
+    if (!value_identical(queried, columns.detection[i])) {
+      record(result, i, "detection", queried, columns.detection[i]);
     }
   }
   if (!result.passed && result.mismatches.size() > 1) {
@@ -558,7 +557,7 @@ std::vector<DifferentialResult> run_differentials(
   results.push_back(diff_batch_threads(jobs, options));
   results.push_back(diff_probe_vs_exact(fleet, f, eval, options));
   results.push_back(diff_exact_vs_grid(fleet, f, eval, options));
-  results.push_back(diff_scalar_vs_simd(fleet, f, eval));
+  results.push_back(diff_sweep_vs_direct(fleet, f, eval));
   return results;
 }
 

@@ -160,18 +160,16 @@ struct DifferentialOptions {
     int n, int f, Real p, const std::vector<Real>& targets,
     std::uint64_t seed = 0x5eed0bab01234567ULL, int trials = 400);
 
-/// measure_cr's batched sweep fill (eval/kernels fill_visit_columns) vs
+/// measure_cr's batched sweep fill (detail::fill_visit_columns) vs
 /// direct Fleet::detection_time queries through the same probe set and
 /// supremum scan (detail::measure_cr_with): every CrEvalResult field
 /// bit-identical, and every batched per-probe detection time
 /// bit-identical to Fleet::detection_time at the same signed position.
-/// This is the differential that licenses the configure-time SIMD
-/// switch — it must hold on both LINESEARCH_SIMD builds.
-[[nodiscard]] DifferentialResult diff_scalar_vs_simd(
+[[nodiscard]] DifferentialResult diff_sweep_vs_direct(
     const Fleet& fleet, int f, const CrEvalOptions& eval);
 
 /// Run the four fleet-level engines above (batch_threads,
-/// probe_vs_exact, exact_vs_grid, scalar_vs_simd) on one
+/// probe_vs_exact, exact_vs_grid, sweep_vs_direct) on one
 /// (fleet, f, window) instance.
 [[nodiscard]] std::vector<DifferentialResult> run_differentials(
     const Fleet& fleet, int f, const CrEvalOptions& eval,

@@ -1,9 +1,7 @@
-// SoA kernel layer (eval/kernels, sim/visit_sweep, eval/interval_lines
-// columns): bit-identity against the scalar reference paths, the probe
-// batch (eval/cr_eval) dedup/window regressions, and the pinned
-// order-statistic tie-breaks.
-#include "eval/kernels.hpp"
-
+// SoA kernel layer (eval/cr_eval's probe batch and sweep fill,
+// sim/visit_sweep, eval/interval_lines columns): bit-identity against
+// the scalar reference paths, the probe batch dedup/window regressions,
+// and the pinned order-statistic tie-breaks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -213,9 +211,9 @@ TEST(VisitColumns, DetectionMatchesFleetQueriesProbeByProbe) {
     CrEvalOptions options;
     options.window_hi = 16;
     const detail::ProbeBatch batch = detail::build_probe_batch(fleet, options);
-    kernels::VisitColumns columns;
+    detail::VisitColumns columns;
     for (const int f : {0, 2, 4}) {
-      kernels::fill_visit_columns(fleet, f, batch, columns);
+      detail::fill_visit_columns(fleet, f, batch, columns);
       ASSERT_EQ(columns.detection.size(), batch.size());
       for (std::size_t i = 0; i < batch.size(); ++i) {
         const Real x =
@@ -232,8 +230,8 @@ TEST(VisitColumns, DetectionMatchesFleetQueriesProbeByProbe) {
 TEST(VisitColumns, FaultBudgetBeyondFleetSizeIsAllUndetected) {
   const Fleet fleet = ProportionalAlgorithm(3, 1).build_fleet(64);
   const detail::ProbeBatch batch = detail::build_probe_batch(fleet, {});
-  kernels::VisitColumns columns;
-  kernels::fill_visit_columns(fleet, 3, batch, columns);
+  detail::VisitColumns columns;
+  detail::fill_visit_columns(fleet, 3, batch, columns);
   for (const Real time : columns.detection) {
     EXPECT_TRUE(std::isinf(time));
   }
@@ -303,8 +301,8 @@ TEST(MeasureCrKernel, MeasureCrDelegatesToTheKernelPath) {
   options.window_hi = 16;
   const CrEvalResult via_facade = measure_cr(fleet, 2, options);
   const detail::ProbeBatch batch = detail::build_probe_batch(fleet, options);
-  kernels::VisitColumns columns;
-  kernels::fill_visit_columns(fleet, 2, batch, columns);
+  detail::VisitColumns columns;
+  detail::fill_visit_columns(fleet, 2, batch, columns);
   const CrEvalResult via_kernel =
       detail::scan_probes(batch, columns.detection, options);
   EXPECT_TRUE(value_identical(via_facade.cr, via_kernel.cr));
@@ -413,14 +411,6 @@ TEST(LineColumns, EvaluationMatchesVisitLineAt) {
                 detail::order_statistic_line(lines, x, k));
     }
   }
-}
-
-TEST(Kernels, SimdCompiledReflectsTheBuildFlag) {
-#if defined(LINESEARCH_SIMD_ENABLED) && LINESEARCH_SIMD_ENABLED
-  EXPECT_TRUE(kernels::simd_compiled());
-#else
-  EXPECT_FALSE(kernels::simd_compiled());
-#endif
 }
 
 }  // namespace

@@ -312,6 +312,48 @@ TEST(QueryService, InvalidQueriesThrowWithoutCounting) {
   EXPECT_EQ(service.stats().queries, 0u);
 }
 
+TEST(QueryService, EmptyWindowIsRejectedBeforeAnyBackendBuild) {
+  // window_hi == window_lo leaves no probe window; canonicalization must
+  // reject it, not the scan after a backend build and an evaluation.
+  for (const FaultRegime regime :
+       {FaultRegime::kNone, FaultRegime::kByzantine, FaultRegime::kCrash,
+        FaultRegime::kProbabilistic}) {
+    CrQuery query = pair_query(3, 1, 2);
+    query.window_lo = 2;
+    query.regime = regime;
+    if (regime == FaultRegime::kCrash) {
+      query.crash_times = {kInfinity, kInfinity, kInfinity};
+    }
+    EXPECT_THROW((void)canonicalize_query(query), PreconditionError);
+    QueryService service;
+    EXPECT_THROW((void)service.evaluate(query), PreconditionError);
+    EXPECT_EQ(service.stats().evaluations, 0u);
+    EXPECT_EQ(service.stats().backend_builds, 0u);
+  }
+}
+
+TEST(QueryService, BackendRegistryEvictsTheOldestPastItsBound) {
+  // 300 distinct beta values need 300 distinct backends; the registry
+  // keeps the newest 256, so the first beta must be rebuilt.
+  QueryServiceOptions options;
+  options.cache_results = false;
+  QueryService service(options);
+  const auto query_at = [](const int i) {
+    CrQuery query = pair_query(3, 1, 2);
+    query.beta = 2 + static_cast<Real>(i) / 64;
+    return query;
+  };
+  for (int i = 0; i < 300; ++i) (void)service.evaluate(query_at(i));
+  EXPECT_EQ(service.backend_count(), 256u);
+  EXPECT_EQ(service.stats().backend_builds, 300u);
+  EXPECT_EQ(service.stats().backend_hits, 0u);
+
+  (void)service.evaluate(query_at(0));
+  EXPECT_EQ(service.stats().backend_builds, 301u);
+  EXPECT_EQ(service.stats().backend_hits, 0u);
+  EXPECT_EQ(service.backend_count(), 256u);
+}
+
 }  // namespace
 }  // namespace svc
 }  // namespace linesearch

@@ -36,7 +36,7 @@ TEST(FuzzCorpus, AllFixedSeedsPassEveryOracle) {
       // verify/differential
       "batch_threads", "byzantine", "chaos_vs_library", "crash_injected",
       "dense_vs_analytic", "exact_vs_grid", "expectation_vs_montecarlo",
-      "probe_vs_exact", "scalar_vs_simd"};
+      "probe_vs_exact", "sweep_vs_direct"};
   EXPECT_EQ(report.checks, expected_checks);
   if (report.failed != 0) {
     std::string seeds;

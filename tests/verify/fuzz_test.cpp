@@ -255,7 +255,7 @@ TEST(Fuzz, EveryInstanceCarriesDuplicateTargets) {
   // first-occurrence dedup is raced wherever the library engines run:
   // the target list repeats its leading entries bit-for-bit, and the
   // first library-route instance still passes every oracle and
-  // differential (including scalar_vs_simd).
+  // differential (including sweep_vs_direct).
   bool ran_library = false;
   for (std::uint64_t seed = 1; seed <= 120; ++seed) {
     const FuzzInstance instance = generate_instance(seed);
@@ -273,11 +273,11 @@ TEST(Fuzz, EveryInstanceCarriesDuplicateTargets) {
     ran_library = true;
     const FuzzOutcome outcome = run_instance(instance);
     EXPECT_TRUE(outcome.ok()) << outcome.describe();
-    bool ran_scalar_vs_simd = false;
+    bool ran_sweep_vs_direct = false;
     for (const DifferentialResult& result : outcome.differentials) {
-      if (result.name == "scalar_vs_simd") ran_scalar_vs_simd = true;
+      if (result.name == "sweep_vs_direct") ran_sweep_vs_direct = true;
     }
-    EXPECT_TRUE(ran_scalar_vs_simd) << seed;
+    EXPECT_TRUE(ran_sweep_vs_direct) << seed;
   }
   EXPECT_TRUE(ran_library);
 }
