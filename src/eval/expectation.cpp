@@ -9,6 +9,7 @@
 #include "analysis/grid.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sim/visit_sweep.hpp"
 #include "util/error.hpp"
 
 namespace linesearch {
@@ -23,81 +24,75 @@ namespace {
 /// sustained run cannot.
 constexpr int kDivergingWindows = 16;
 
-/// Merged finite visit times at `target` with a per-robot cap.
-/// `truncated` reports whether more visits exist beyond what was
-/// materialized (cap hit, or a ladder time overflowing Real range).
-std::vector<Real> merged_visits(const Fleet& fleet, const Real target,
-                                const std::size_t cap, bool* truncated) {
-  std::vector<Real> merged;
-  *truncated = false;
-  for (std::size_t robot = 0; robot < fleet.size(); ++robot) {
-    const std::vector<Real> visits =
-        fleet.robot(static_cast<RobotId>(robot)).visit_times(target, cap);
-    if (visits.size() == cap) *truncated = true;
-    for (const Real t : visits) {
-      if (!std::isfinite(t)) {
-        *truncated = true;
-        break;
-      }
-      merged.push_back(t);
-    }
-  }
-  std::sort(merged.begin(), merged.end());
-  return merged;
-}
+/// Running sum of t_k (1-p) p^(k-1) over merged visit times fed in
+/// increasing order, with the per-window geometric tail test.
+struct SeriesSum {
+  enum class State { kOpen, kConverged, kDivergent };
 
-/// One summation pass over a merged visit prefix.
-struct SeriesPass {
-  Real sum = 0;         ///< partial sum of t_k (1-p) p^(k-1)
-  Real tail = kNaN;     ///< closed-form geometric tail at the last window
-  bool converged = false;
-  bool divergent = false;
-};
-
-SeriesPass sum_series(const std::vector<Real>& merged, const Real p,
-                      const std::size_t window, const Real rel_tol) {
-  SeriesPass pass;
-  // term_(k+1) = term_k * p * (t_(k+1)/t_k) keeps the running term in
-  // representable range even where t_k alone would overflow and p^k
-  // alone would underflow (their product is bounded by the series'
-  // behaviour, not by either factor).
+  Real p;
+  std::size_t window;
+  Real rel_tol;
+  Real sum = 0;
+  std::size_t terms = 0;
   Real term = 0;
   Real prev_t = 0;
   Real window_sum = 0;
   Real prev_window = 0;
-  Real q = kNaN;
+  Real q = kNaN;     ///< ratio of the last two full windows
+  Real tail = kNaN;  ///< closed-form tail at the last contracting window
   std::size_t in_window = 0;
   int diverging_streak = 0;
-  for (std::size_t k = 0; k < merged.size(); ++k) {
-    const Real t = merged[k];
-    term = (k == 0) ? (1 - p) * t : term * p * (t / prev_t);
+
+  State add(const Real t) {
+    // term_(k+1) = term_k * p * (t_(k+1)/t_k) keeps the running term in
+    // representable range even where t_k alone would overflow and p^k
+    // alone would underflow (their product is bounded by the series'
+    // behaviour, not by either factor).
+    term = (terms == 0) ? (1 - p) * t : term * p * (t / prev_t);
+    ++terms;
     prev_t = t;
-    pass.sum += term;
+    sum += term;
     window_sum += term;
-    if (++in_window < window) continue;
+    if (++in_window < window) return State::kOpen;
     if (prev_window > 0) {
       q = window_sum / prev_window;
       if (q < 1) {
         diverging_streak = 0;
-        pass.tail = window_sum * q / (1 - q);
-        if (pass.tail <= rel_tol * pass.sum) {
-          pass.converged = true;
-          return pass;
-        }
+        tail = window_sum * q / (1 - q);
+        if (tail <= rel_tol * sum) return State::kConverged;
       } else if (++diverging_streak >= kDivergingWindows) {
-        pass.divergent = true;
-        return pass;
+        return State::kDivergent;
       }
     }
     prev_window = window_sum;
     window_sum = 0;
     in_window = 0;
+    return State::kOpen;
   }
-  // Cap decision material: the last full-window tail estimate (NaN when
-  // no contracting window was ever seen).
-  if (!(q < 1)) pass.tail = kNaN;
-  return pass;
-}
+};
+
+/// One robot's visits to the target in one pass: capped at `cap`, cut at
+/// the first non-finite time, pulled one look-ahead visit at a time.
+struct RobotVisits {
+  VisitCursor cursor;
+  std::size_t taken = 0;  ///< visits pulled from the cursor so far
+  Real head = kInfinity;  ///< next visit; kInfinity once exhausted
+
+  /// Pull the next visit into `head`.  Sets *truncated when visits exist
+  /// past what this pass may use: the cap is reached, or a ladder time
+  /// overflowed Real range.
+  void pull(const std::size_t cap, bool* truncated) {
+    if (taken == cap || !cursor.next(&head)) {
+      head = kInfinity;
+      return;
+    }
+    if (++taken == cap) *truncated = true;
+    if (!std::isfinite(head)) {
+      *truncated = true;
+      head = kInfinity;
+    }
+  }
+};
 
 }  // namespace
 
@@ -123,14 +118,10 @@ Real expected_detection_time(const Fleet& fleet, const Real target,
   // This must be decided BEFORE the series pass: a long finite list can
   // satisfy the geometric tail bound (which presumes the ladder
   // continues) without ever revealing its end.
-  bool any_unbounded = false;
-  for (std::size_t robot = 0; robot < fleet.size(); ++robot) {
-    if (fleet.robot(static_cast<RobotId>(robot)).unbounded()) {
-      any_unbounded = true;
-      break;
-    }
-  }
-  if (!any_unbounded) {
+  const std::vector<Trajectory>& team = fleet.robots();
+  if (std::none_of(team.begin(), team.end(), [](const Trajectory& robot) {
+        return robot.unbounded();
+      })) {
     LS_OBS_COUNT("eval.expectation.divergent", 1);
     return kInfinity;
   }
@@ -140,42 +131,62 @@ Real expected_detection_time(const Fleet& fleet, const Real target,
   const std::size_t window = std::max<std::size_t>(2 * fleet.size(), 4);
   std::size_t cap = 64;
   std::size_t last_merged = 0;
+  std::vector<RobotVisits> robots;
+  robots.reserve(fleet.size());
   for (;;) {
+    // One pass: a k-way merge of every robot's first `cap` visits, fed
+    // in increasing time order straight into the series.  The pass
+    // stops as soon as the series converges or diverges, so only the
+    // visits the sum consumes are ever walked.
     bool truncated = false;
-    const std::vector<Real> merged =
-        merged_visits(fleet, target, cap, &truncated);
-    if (merged.empty()) return kInfinity;  // never visited
-    const SeriesPass pass =
-        sum_series(merged, p, window, options.rel_tol);
-    if (pass.divergent) {
-      LS_OBS_COUNT("eval.expectation.divergent", 1);
-      LS_OBS_COUNT("eval.expectation.visits", merged.size());
-      return kInfinity;
+    robots.clear();
+    for (const Trajectory& robot : team) {
+      robots.push_back({.cursor = VisitCursor(robot.source(), target)});
+      robots.back().pull(cap, &truncated);
     }
-    if (pass.converged) {
-      LS_OBS_COUNT("eval.expectation.visits", merged.size());
-      return pass.sum;
+    SeriesSum series{.p = p, .window = window, .rel_tol = options.rel_tol};
+    for (;;) {
+      // Linear scan for the smallest head: teams are small.
+      const auto next = std::min_element(
+          robots.begin(), robots.end(),
+          [](const RobotVisits& a, const RobotVisits& b) {
+            return a.head < b.head;
+          });
+      if (next->head == kInfinity) break;
+      const SeriesSum::State state = series.add(next->head);
+      if (state == SeriesSum::State::kDivergent) {
+        LS_OBS_COUNT("eval.expectation.divergent", 1);
+        LS_OBS_COUNT("eval.expectation.visits", series.terms);
+        return kInfinity;
+      }
+      if (state == SeriesSum::State::kConverged) {
+        LS_OBS_COUNT("eval.expectation.visits", series.terms);
+        return series.sum;
+      }
+      next->pull(cap, &truncated);
     }
+    const std::size_t merged = series.terms;
+    if (merged == 0) return kInfinity;  // never visited
     if (!truncated) {
       // The visit list is genuinely finite: mass p^K never detects, so
       // the expectation is infinite for any p > 0.
       LS_OBS_COUNT("eval.expectation.divergent", 1);
-      LS_OBS_COUNT("eval.expectation.visits", merged.size());
+      LS_OBS_COUNT("eval.expectation.visits", merged);
       return kInfinity;
     }
-    const bool stalled = merged.size() == last_merged;
-    if (merged.size() >= options.max_visits || stalled) {
+    const bool stalled = merged == last_merged;
+    if (merged >= options.max_visits || stalled) {
       // Cap (or ladder-overflow stall): the last period ratio decides.
       // A contracting tail extrapolates in closed form; anything else —
       // including a pass too short to measure one — is divergent-side.
-      LS_OBS_COUNT("eval.expectation.visits", merged.size());
-      if (std::isnan(pass.tail)) {
+      LS_OBS_COUNT("eval.expectation.visits", merged);
+      if (!(series.q < 1) || std::isnan(series.tail)) {
         LS_OBS_COUNT("eval.expectation.divergent", 1);
         return kInfinity;
       }
-      return pass.sum + pass.tail;
+      return series.sum + series.tail;
     }
-    last_merged = merged.size();
+    last_merged = merged;
     cap = std::min(cap * 4, options.max_visits);
   }
 }

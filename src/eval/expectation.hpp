@@ -17,12 +17,22 @@
 //
 //   p < kappa^(-1/n)        (equivalently p^(2n) * kappa^2 < 1)
 //
-// and the evaluator sums terms until the closed-form geometric tail
-// bound drops below rel_tol, or certifies divergence (E[T] = kInfinity)
-// when period sums stop contracting.  A FINITE visit list (a bounded /
-// dense fleet, or a ray that passes x once) leaves never-detect mass
-// p^K > 0, so E[T] is kInfinity for every p > 0 — the expected-CR
-// evaluator is meant for the unbounded analytic backends.
+// Evaluation streams: every robot's visits come from a VisitCursor
+// (sim/visit_sweep.hpp), a k-way merge takes the smallest head and feeds
+// it straight into the sum, and the pass stops as soon as the closed-
+// form geometric tail of the last period window drops below rel_tol of
+// the sum (converged) or period sums stop contracting (E[T] =
+// kInfinity).  Only the visits the sum consumes are ever walked — a few
+// dozen per target at p <= 0.5.  Each pass caps every robot at `cap`
+// visits (64, then x4 up to max_visits); a pass that runs dry undecided
+// ends the evaluation when the lists are finite (kInfinity), or at the
+// cap or a stalled overflowing ladder (the last window's tail decides),
+// and otherwise restarts with the larger cap.  The result is
+// bit-identical to sorting every robot's first `cap` visits and summing
+// the sorted prefix.  A FINITE visit list (a bounded / dense fleet, or a
+// ray that passes x once) leaves never-detect mass p^K > 0, so E[T] is
+// kInfinity for every p > 0 — the expected-CR evaluator is meant for the
+// unbounded analytic backends.
 //
 // At p == 0 the series collapses to t_1 = Fleet::detection_time(x, 0)
 // and the scan below runs detail::measure_cr_with with exactly the

@@ -12,61 +12,43 @@ namespace {
 
 constexpr Real kSpeedSlack = 1 + 1e-9L;  // mirrors DenseSchedule
 
+// Step::stage values.
+constexpr int kLadder = 0;     // on the ladder recurrence
+constexpr int kAtBarrier = 1;  // at the first barrier waypoint
+constexpr int kEnded = 2;      // at the final barrier waypoint
+
 }  // namespace
 
-/// Streams the schedule's waypoints in order with O(1) memory: head
-/// waypoints first, then the ladder recurrence, then (barrier mode) the
-/// two barrier sweeps.  All arithmetic matches the dense builders
-/// bit-for-bit (see the header comment).
-class AnalyticZigzag::Walker {
- public:
-  explicit Walker(const AnalyticZigzag& schedule)
-      : schedule_(schedule), w_(schedule.head_.front()) {}
-
-  [[nodiscard]] const Waypoint& current() const noexcept { return w_; }
-  [[nodiscard]] std::size_t index() const noexcept { return k_; }
-
-  [[nodiscard]] bool has_next() const noexcept {
-    if (k_ + 1 < schedule_.head_.size()) return true;
-    return stage_ != Stage::kDone;
+bool AnalyticZigzag::step(Step& s) const {
+  // Head waypoints first, then the ladder recurrence, then (barrier mode)
+  // the two barrier sweeps.  All arithmetic matches the dense builders
+  // bit-for-bit (see the header comment).
+  if (s.index + 1 < head_.size()) {
+    s.at = head_[++s.index];
+    return true;
   }
-
-  void advance() {
-    ++k_;
-    if (k_ < schedule_.head_.size()) {
-      w_ = schedule_.head_[k_];
-      return;
-    }
-    const Real x = w_.position;
-    Real next = 0;
-    switch (stage_) {
-      case Stage::kMain:
-        if (schedule_.barrier_ > 0 &&
-            std::fabs(x * schedule_.kappa_) >= schedule_.barrier_) {
-          next = (x > 0) ? -schedule_.barrier_ : schedule_.barrier_;
-          stage_ = Stage::kAtBarrier;
-        } else {
-          next = -(x * schedule_.kappa_);
-        }
-        break;
-      case Stage::kAtBarrier:
-        next = -x;
-        stage_ = Stage::kDone;
-        break;
-      case Stage::kDone:
-        ensures(false, "walker advanced past the final waypoint");
-    }
-    w_ = {w_.time + std::fabs(next - x), next};
+  const Real x = s.at.position;
+  Real next = 0;
+  switch (s.stage) {
+    case kLadder:
+      if (barrier_ > 0 && std::fabs(x * kappa_) >= barrier_) {
+        next = (x > 0) ? -barrier_ : barrier_;
+        s.stage = kAtBarrier;
+      } else {
+        next = -(x * kappa_);
+      }
+      break;
+    case kAtBarrier:
+      next = -x;
+      s.stage = kEnded;
+      break;
+    default:
+      return false;
   }
-
- private:
-  enum class Stage { kMain, kAtBarrier, kDone };
-
-  const AnalyticZigzag& schedule_;
-  std::size_t k_ = 0;
-  Waypoint w_;
-  Stage stage_ = Stage::kMain;
-};
+  ++s.index;
+  s.at = {s.at.time + std::fabs(next - x), next};
+  return true;
+}
 
 AnalyticZigzag::AnalyticZigzag(AnalyticZigzagSpec spec)
     : head_(std::move(spec.head)),
@@ -113,9 +95,8 @@ AnalyticZigzag::AnalyticZigzag(AnalyticZigzagSpec spec)
     LS_OBS_COUNT("sim.analytic.barrier_materializations", 1);
     auto cache = std::make_unique<BoundedCache>();
     cache->waypoints.push_back(head_.front());
-    for (Walker cursor(*this); cursor.has_next();) {
-      cursor.advance();
-      cache->waypoints.push_back(cursor.current());
+    for (Step s{.at = head_.front()}; step(s);) {
+      cache->waypoints.push_back(s.at);
     }
     count_ = cache->waypoints.size();
     int direction_before = 0;
@@ -158,66 +139,55 @@ Real AnalyticZigzag::max_speed() const {
 Real AnalyticZigzag::position_at(const Real t) const {
   expects(t >= start_time() && t <= end_time(),
           "position_at: time outside trajectory span");
-  Walker cursor(*this);
-  Waypoint a = cursor.current();
-  cursor.advance();
-  Waypoint b = cursor.current();
-  while (b.time <= t) {
-    if (!cursor.has_next()) return b.position;  // t == end_time (bounded)
-    a = b;
-    cursor.advance();
-    b = cursor.current();
+  Step s{.at = head_.front()};
+  Waypoint a = s.at;
+  (void)step(s);  // every schedule has at least one segment
+  while (s.at.time <= t) {
+    a = s.at;
+    if (!step(s)) return a.position;  // t == end_time (bounded)
   }
+  const Waypoint& b = s.at;
   const Real fraction = (t - a.time) / (b.time - a.time);
   return a.position + fraction * (b.position - a.position);
 }
 
-std::vector<Real> AnalyticZigzag::visit_times(
-    const Real x, const std::size_t max_count) const {
-  expects(!unbounded() || max_count < kUnboundedCount,
-          "visit_times: unbounded schedule needs a finite max_count");
+void AnalyticZigzag::begin_walk(WaypointWalk& walk, const Real /*x*/) const {
+  // The walk never stops early: an unbounded ladder's reach grows by
+  // kappa > 1 per leg, so it crosses every x again and again.
   LS_OBS_COUNT("sim.analytic.visit_queries", 1);
-  std::vector<Real> times;
-  if (max_count == 0) return times;
+  walk.run = head_.data();  // first run: the head, ending at the seed
+  walk.size = head_.size();
+  walk.stage = kLadder;
+}
 
-  // Same segment scan as DenseSchedule, against generated segments.  The
-  // loop terminates for any finite cap: the zig-zag's reach grows by
-  // kappa > 1 per leg, so every x is crossed on all but finitely many
-  // legs (and a bounded schedule simply runs out of segments).
-  Walker cursor(*this);
-  Waypoint a = cursor.current();
-  std::size_t i = 0;
-  while (cursor.has_next() && times.size() < max_count) {
-    cursor.advance();
-    const Waypoint& b = cursor.current();
-    const Real lo = std::min(a.position, b.position);
-    const Real hi = std::max(a.position, b.position);
-    const bool skip_start = i > 0 && x == a.position;
-    if (x >= lo && x <= hi && !skip_start) {
-      Real t;
-      if (a.position == b.position) {
-        t = a.time;  // stationary segment sitting on x
-      } else {
-        const Real fraction = (x - a.position) / (b.position - a.position);
-        t = a.time + fraction * (b.time - a.time);
-      }
-      if (times.empty() || !approx_equal(times.back(), t)) {
-        times.push_back(t);
-      }
-    }
-    a = b;
-    ++i;
+bool AnalyticZigzag::advance_walk(WaypointWalk& walk,
+                                  const Real /*x*/) const {
+  // Next run: the previous run's last waypoint, then up to
+  // kBufferSize - 1 generated ones.
+  Step next{.at = walk.data()[walk.size - 1],
+            .index = head_.size() - 1,
+            .stage = walk.stage};
+  const Waypoint from = next.at;
+  if (!step(next)) return false;
+  walk.buffer[0] = from;
+  walk.buffer[1] = next.at;
+  std::size_t size = 2;
+  while (size < WaypointWalk::kBufferSize && step(next)) {
+    walk.buffer[size++] = next.at;
   }
-  return times;
+  walk.run = nullptr;
+  walk.size = size;
+  walk.stage = next.stage;
+  return true;
 }
 
 void AnalyticZigzag::first_visit_times_into(const Real* xs,
                                             const std::size_t count,
                                             Real* out) const {
-  // One ladder walk answers the whole sorted batch — the scalar
-  // visit_times restarts the walk per query, which is exactly the cost
-  // the SoA probe kernel exists to avoid.  Counted separately from
-  // sim.analytic.visit_queries, which keeps meaning "walks".
+  // One ladder walk answers the whole sorted batch — a VisitCursor
+  // restarts the walk per query, which is exactly the cost the SoA probe
+  // kernel exists to avoid.  Counted separately from
+  // sim.analytic.visit_queries, which keeps meaning "cursor walks".
   LS_OBS_COUNT("sim.analytic.batched_sweeps", 1);
   LS_OBS_COUNT("sim.analytic.batched_visit_queries", count);
   detail::FrontierSweep sweep(xs, count, out, head_.front());
@@ -225,13 +195,11 @@ void AnalyticZigzag::first_visit_times_into(const Real* xs,
   // (reach grows by kappa > 1 per leg), so the sweep always completes;
   // bounded schedules may simply run out of segments, leaving the
   // never-visited probes at kInfinity.
-  Walker cursor(*this);
-  Waypoint a = cursor.current();
-  while (cursor.has_next() && !sweep.done()) {
-    cursor.advance();
-    const Waypoint& b = cursor.current();
-    sweep.feed(a, b);
-    a = b;
+  Step s{.at = head_.front()};
+  Waypoint a = s.at;
+  while (!sweep.done() && step(s)) {
+    sweep.feed(a, s.at);
+    a = s.at;
   }
 }
 
@@ -246,12 +214,9 @@ std::vector<Waypoint> AnalyticZigzag::waypoint_prefix(
     const std::size_t k) const {
   std::vector<Waypoint> prefix;
   if (k == 0) return prefix;
-  Walker cursor(*this);
-  prefix.push_back(cursor.current());
-  while (prefix.size() < k && cursor.has_next()) {
-    cursor.advance();
-    prefix.push_back(cursor.current());
-  }
+  Step s{.at = head_.front()};
+  prefix.push_back(s.at);
+  while (prefix.size() < k && step(s)) prefix.push_back(s.at);
   return prefix;
 }
 
@@ -303,19 +268,16 @@ std::vector<Real> AnalyticZigzag::waypoint_positions_within(
     const Real max_magnitude) const {
   LS_OBS_COUNT("sim.analytic.window_queries", 1);
   std::vector<Real> positions;
-  Walker cursor(*this);
-  while (true) {
-    const Waypoint& w = cursor.current();
-    if (std::fabs(w.position) <= max_magnitude) {
-      positions.push_back(w.position);
-    } else if (cursor.index() >= head_.size() - 1) {
+  Step s{.at = head_.front()};
+  do {
+    if (std::fabs(s.at.position) <= max_magnitude) {
+      positions.push_back(s.at.position);
+    } else if (s.index >= head_.size() - 1) {
       // Past the head the magnitudes only grow (ladder expansion, then
       // the barrier): nothing further can re-enter the window.
       break;
     }
-    if (!cursor.has_next()) break;
-    cursor.advance();
-  }
+  } while (step(s));
   return positions;
 }
 
@@ -346,23 +308,24 @@ Real AnalyticRay::position_at(const Real t) const {
   return direction_ > 0 ? t : -t;
 }
 
-std::vector<Real> AnalyticRay::visit_times(
-    const Real x, const std::size_t max_count) const {
-  std::vector<Real> times;
-  if (max_count == 0) return times;
-  // The ray passes each point of its half-line exactly once, at t = |x|
-  // (unit speed from the origin); the other half-line is never visited.
-  if (x == 0 || sign_of(x) == direction_) {
-    times.push_back(std::fabs(x));
+void AnalyticRay::begin_walk(WaypointWalk& walk, const Real x) const {
+  // The ray's one segment is infinite and never returns, so its walk
+  // toward x ends at x: the segment (0, 0) -> (|x|, x) interpolates to
+  // exactly t = |x|.  Off the ray's half-line (or at the origin) the walk
+  // is just the origin waypoint, which visits x iff x == 0.
+  walk.run = nullptr;
+  walk.buffer[0] = {0, 0};
+  walk.size = 1;
+  if (x != 0 && sign_of(x) == direction_) {
+    walk.buffer[walk.size++] = {std::fabs(x), x};
   }
-  return times;
 }
 
 void AnalyticRay::first_visit_times_into(const Real* xs,
                                          const std::size_t count,
                                          Real* out) const {
   // Closed form, elementwise: the ray reaches x at t = |x| iff x is on
-  // its half-line (or the origin) — same branch as visit_times.
+  // its half-line (or the origin) — same branch as begin_s.
   const int direction = direction_;
   for (std::size_t i = 0; i < count; ++i) {
     const Real x = xs[i];

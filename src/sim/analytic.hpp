@@ -73,8 +73,9 @@ class AnalyticZigzag final : public ScheduleSource {
   [[nodiscard]] Real max_abs_position() const override;
   [[nodiscard]] Real max_speed() const override;
   [[nodiscard]] Real position_at(Real t) const override;
-  [[nodiscard]] std::vector<Real> visit_times(
-      Real x, std::size_t max_count) const override;
+  /// Counts one sim.analytic.visit_queries per walk.
+  void begin_walk(WaypointWalk& walk, Real x) const override;
+  [[nodiscard]] bool advance_walk(WaypointWalk& walk, Real x) const override;
   void first_visit_times_into(const Real* xs, std::size_t count,
                               Real* out) const override;
   [[nodiscard]] const std::vector<Waypoint>& waypoints() const override;
@@ -95,7 +96,17 @@ class AnalyticZigzag final : public ScheduleSource {
   }
 
  private:
-  class Walker;
+  /// A position in the waypoint recurrence: O(1) state.
+  struct Step {
+    Waypoint at;            ///< the current waypoint
+    std::size_t index = 0;  ///< its index in the schedule
+    int stage = 0;          ///< ladder, first barrier, or ended
+  };
+
+  /// Move `s` to the next waypoint; false at the end of the schedule.
+  /// The uncounted generator behind advance_walk and every internal
+  /// waypoint stream.
+  bool step(Step& s) const;
 
   /// Materialized only in barrier mode (the schedule is finite there);
   /// unbounded schedules carry just the null pointer, keeping their
@@ -137,8 +148,7 @@ class AnalyticRay final : public ScheduleSource {
   [[nodiscard]] Real max_abs_position() const override { return kInfinity; }
   [[nodiscard]] Real max_speed() const override { return 1; }
   [[nodiscard]] Real position_at(Real t) const override;
-  [[nodiscard]] std::vector<Real> visit_times(
-      Real x, std::size_t max_count) const override;
+  void begin_walk(WaypointWalk& walk, Real x) const override;
   void first_visit_times_into(const Real* xs, std::size_t count,
                               Real* out) const override;
   [[nodiscard]] const std::vector<Waypoint>& waypoints() const override;

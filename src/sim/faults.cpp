@@ -5,6 +5,7 @@
 #include <numeric>
 #include <utility>
 
+#include "sim/visit_sweep.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -315,16 +316,18 @@ Real ProbabilisticFaults::detection_time(const Fleet& fleet,
   // First success over the team = min over robots of each robot's first
   // successful visit (coins are indexed per (robot, local visit), so
   // which robot's visit comes k-th in the merged order is irrelevant).
+  // Each robot's visits are pulled one at a time and only until its
+  // first success (or until they can no longer beat `earliest`).
   Real earliest = kInfinity;
   for (std::size_t robot = 0; robot < fleet.size(); ++robot) {
-    const std::vector<Real> visits =
-        fleet.robot(static_cast<RobotId>(robot))
-            .visit_times(target, config_.max_visits);
-    for (std::size_t k = 0; k < visits.size(); ++k) {
-      if (!std::isfinite(visits[k])) break;
-      if (visits[k] >= earliest) break;  // later robots can't improve
+    VisitCursor visits(fleet.robot(static_cast<RobotId>(robot)).source(),
+                       target);
+    Real t = 0;
+    for (std::size_t k = 0; k < config_.max_visits && visits.next(&t); ++k) {
+      if (!std::isfinite(t)) break;
+      if (t >= earliest) break;  // later robots can't improve
       if (!probabilistic_visit_fails(config_.seed, robot, k, config_.p)) {
-        earliest = visits[k];
+        earliest = t;
         break;
       }
     }

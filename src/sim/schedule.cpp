@@ -26,6 +26,23 @@ void ScheduleSource::first_visit_times_into(const Real* xs,
   }
 }
 
+std::vector<Real> ScheduleSource::visit_times(
+    const Real x, const std::size_t max_count) const {
+  expects(max_count < kUnboundedCount || !unbounded(),
+          "visit_times: unbounded schedule needs a finite max_count");
+  std::vector<Real> times;
+  VisitCursor cursor(*this, x);
+  for (Real t = 0; times.size() < max_count && cursor.next(&t);) {
+    times.push_back(t);
+  }
+  return times;
+}
+
+bool ScheduleSource::advance_walk(WaypointWalk& /*walk*/,
+                                  const Real /*x*/) const {
+  return false;
+}
+
 DenseSchedule::DenseSchedule(std::vector<Waypoint> waypoints)
     : waypoints_(std::move(waypoints)) {
   expects(!waypoints_.empty(), "trajectory needs at least one waypoint");
@@ -72,42 +89,9 @@ Real DenseSchedule::position_at(const Real t) const {
   return a.position + fraction * (b.position - a.position);
 }
 
-std::vector<Real> DenseSchedule::visit_times(
-    const Real x, const std::size_t max_count) const {
-  std::vector<Real> times;
-  if (max_count == 0) return times;
-
-  if (waypoints_.size() == 1) {
-    if (waypoints_.front().position == x) times.push_back(start_time());
-    return times;
-  }
-
-  for (std::size_t i = 0; i + 1 < waypoints_.size(); ++i) {
-    const Waypoint& a = waypoints_[i];
-    const Waypoint& b = waypoints_[i + 1];
-    const Real lo = std::min(a.position, b.position);
-    const Real hi = std::max(a.position, b.position);
-    if (x < lo || x > hi) continue;
-
-    // Continuous occupancy: if this segment STARTS at x, the previous
-    // segment ended at x and already reported the visit (segments share
-    // endpoints) — a turning point touch or a stationary dwell is one
-    // visit, and leaving a dwell is not a new one.
-    if (i > 0 && x == a.position) continue;
-
-    Real t;
-    if (a.position == b.position) {
-      t = a.time;  // stationary segment sitting on x
-    } else {
-      const Real fraction = (x - a.position) / (b.position - a.position);
-      t = a.time + fraction * (b.time - a.time);
-    }
-    // Safety net for near-endpoint rounding.
-    if (!times.empty() && approx_equal(times.back(), t)) continue;
-    times.push_back(t);
-    if (times.size() == max_count) break;
-  }
-  return times;
+void DenseSchedule::begin_walk(WaypointWalk& walk, const Real /*x*/) const {
+  walk.run = waypoints_.data();  // one run: the whole waypoint vector
+  walk.size = waypoints_.size();
 }
 
 void DenseSchedule::first_visit_times_into(const Real* xs,

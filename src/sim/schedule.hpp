@@ -13,6 +13,7 @@
 // the unbounded-safe replacements and are exact on both backends.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -28,6 +29,25 @@ struct Waypoint {
   Real position = 0;
 
   friend bool operator==(const Waypoint&, const Waypoint&) = default;
+};
+
+/// A resumable walk over a schedule's waypoints toward one target x,
+/// handed out in runs of consecutive waypoints: the state a VisitCursor
+/// (sim/visit_sweep.hpp) pulls segments through.  Each run after the
+/// first starts with the previous run's last waypoint.  A run lives in
+/// the backend's own storage (`run`) or, for generated waypoints, in
+/// `buffer` (`run == nullptr`), so a copied walk stays valid.
+struct WaypointWalk {
+  static constexpr std::size_t kBufferSize = 8;
+
+  const Waypoint* run = nullptr;  ///< backend storage, or nullptr: buffer
+  std::size_t size = 0;           ///< waypoints in the current run (>= 1)
+  int stage = 0;                  ///< backend-private generator state
+  std::array<Waypoint, kBufferSize> buffer;
+
+  [[nodiscard]] const Waypoint* data() const noexcept {
+    return run != nullptr ? run : buffer.data();
+  }
 };
 
 /// waypoint_count() of a schedule with an unbounded horizon.
@@ -68,10 +88,23 @@ class ScheduleSource {
   [[nodiscard]] virtual Real position_at(Real t) const = 0;
 
   /// All visit times to x in increasing order (touching turning points
-  /// deduplicated), capped at `max_count` entries.  An unbounded schedule
-  /// requires a finite cap (max_count < kUnboundedCount).
-  [[nodiscard]] virtual std::vector<Real> visit_times(
-      Real x, std::size_t max_count) const = 0;
+  /// deduplicated), capped at `max_count` entries: the first max_count
+  /// times a VisitCursor (sim/visit_sweep.hpp) yields.  An unbounded
+  /// schedule requires a finite cap (max_count < kUnboundedCount).
+  [[nodiscard]] std::vector<Real> visit_times(Real x,
+                                              std::size_t max_count) const;
+
+  /// Start a waypoint walk toward target x: its first run begins at the
+  /// first waypoint.  A backend may end the walk early once no later
+  /// segment can visit x, provided the shortened walk crosses x exactly
+  /// where the full schedule does.
+  virtual void begin_walk(WaypointWalk& walk, Real x) const = 0;
+
+  /// Replace the walk's run by the next one; false (walk untouched) once
+  /// the walk has ended.  The default serves schedules whose first run is
+  /// the whole walk.
+  [[nodiscard]] virtual bool advance_walk(WaypointWalk& walk,
+                                          Real x) const;
 
   /// Batched first visits: out[i] = first visit time to xs[i], or
   /// kInfinity when xs[i] is never reached.  `xs` must be sorted
@@ -142,8 +175,7 @@ class DenseSchedule final : public ScheduleSource {
   [[nodiscard]] Real max_abs_position() const override { return max_abs_; }
   [[nodiscard]] Real max_speed() const override { return max_speed_; }
   [[nodiscard]] Real position_at(Real t) const override;
-  [[nodiscard]] std::vector<Real> visit_times(
-      Real x, std::size_t max_count) const override;
+  void begin_walk(WaypointWalk& walk, Real x) const override;
   void first_visit_times_into(const Real* xs, std::size_t count,
                               Real* out) const override;
   [[nodiscard]] const std::vector<Waypoint>& waypoints() const override {

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "sim/visit_sweep.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
 
@@ -22,16 +23,18 @@ Trajectory Trajectory::stationary(const Real position, const Real until) {
 }
 
 std::optional<Real> Trajectory::first_visit_time(const Real x) const {
-  const std::vector<Real> times = visit_times(x, 1);
-  if (times.empty()) return std::nullopt;
-  return times.front();
+  return kth_visit_time(x, 0);
 }
 
 std::optional<Real> Trajectory::kth_visit_time(const Real x,
                                                const std::size_t k) const {
-  const std::vector<Real> times = visit_times(x, k + 1);
-  if (times.size() <= k) return std::nullopt;
-  return times[k];
+  // Pulled straight from the cursor: no visit list is materialized.
+  VisitCursor cursor(*source_, x);
+  Real t = 0;
+  for (std::size_t i = 0; i <= k; ++i) {
+    if (!cursor.next(&t)) return std::nullopt;
+  }
+  return t;
 }
 
 std::string Trajectory::describe() const {

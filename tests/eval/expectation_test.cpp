@@ -13,6 +13,9 @@
 //     of the same fault model agrees within CLT bounds — the
 //     expectation_vs_montecarlo differential, run here over the full
 //     regime grid at p in {0.1, 0.5, 0.9};
+//   * the streaming engine is BITWISE the sort-based algorithm it
+//     replaced (a test-local reference below) on analytic, dense,
+//     crash-truncated and two-ray fleets, through every decision branch;
 //   * the service answers probabilistic queries value-identically to the
 //     direct path for every cache configuration and thread count.
 #include "eval/expectation.hpp"
@@ -26,10 +29,12 @@
 #include <vector>
 
 #include "core/algorithm.hpp"
+#include "core/baselines.hpp"
 #include "core/competitive.hpp"
 #include "eval/cr_eval.hpp"
 #include "eval/montecarlo.hpp"
 #include "eval/validation.hpp"
+#include "sim/faults.hpp"
 #include "svc/query.hpp"
 #include "svc/server.hpp"
 #include "util/csv.hpp"
@@ -241,6 +246,199 @@ TEST(ExpectedDetectionTime, GuardsRejectBadInput) {
   bad_cap.max_visits = 8;
   EXPECT_THROW((void)expected_detection_time(fleet, 1, bad_cap),
                PreconditionError);
+}
+
+// ---------------------------------------------------------------------------
+// Bit identity against the sort-based reference
+// ---------------------------------------------------------------------------
+
+/// What the reference computed and how many capped passes it took.
+struct ReferenceValue {
+  Real value = kInfinity;
+  int passes = 0;
+};
+
+/// Test-local reference: the algorithm the streaming engine replaced.
+/// Each pass materializes every robot's first `cap` visits with the
+/// public Trajectory::visit_times, cuts them at the first non-finite
+/// time, merges and std::sorts them, then sums the whole sorted list
+/// with the same window tail test; the cap grows 64, x4, ... up to
+/// max_visits under the same truncation, stall and tail rules.
+ReferenceValue reference_expected_detection_time(
+    const Fleet& fleet, const Real target, const ExpectationOptions& options) {
+  constexpr int kDivergingWindows = 16;
+  const Real p = options.p;
+  if (p == 0) return {fleet.detection_time(target, 0), 0};
+  if (p == 1) return {kInfinity, 0};
+  const bool any_unbounded =
+      std::any_of(fleet.robots().begin(), fleet.robots().end(),
+                  [](const Trajectory& robot) { return robot.unbounded(); });
+  if (!any_unbounded) return {kInfinity, 0};
+  const std::size_t window = std::max<std::size_t>(2 * fleet.size(), 4);
+  std::size_t cap = 64;
+  std::size_t last_merged = 0;
+  for (int passes = 1;; ++passes) {
+    std::vector<Real> merged;
+    bool truncated = false;
+    for (const Trajectory& robot : fleet.robots()) {
+      const std::vector<Real> visits = robot.visit_times(target, cap);
+      if (visits.size() == cap) truncated = true;
+      for (const Real t : visits) {
+        if (!std::isfinite(t)) {
+          truncated = true;
+          break;
+        }
+        merged.push_back(t);
+      }
+    }
+    std::sort(merged.begin(), merged.end());
+    if (merged.empty()) return {kInfinity, passes};
+    Real sum = 0;
+    Real term = 0;
+    Real prev_t = 0;
+    Real window_sum = 0;
+    Real prev_window = 0;
+    Real q = kNaN;
+    Real tail = kNaN;
+    std::size_t in_window = 0;
+    int diverging_streak = 0;
+    for (std::size_t k = 0; k < merged.size(); ++k) {
+      const Real t = merged[k];
+      term = (k == 0) ? (1 - p) * t : term * p * (t / prev_t);
+      prev_t = t;
+      sum += term;
+      window_sum += term;
+      if (++in_window < window) continue;
+      if (prev_window > 0) {
+        q = window_sum / prev_window;
+        if (q < 1) {
+          diverging_streak = 0;
+          tail = window_sum * q / (1 - q);
+          if (tail <= options.rel_tol * sum) return {sum, passes};
+        } else if (++diverging_streak >= kDivergingWindows) {
+          return {kInfinity, passes};
+        }
+      }
+      prev_window = window_sum;
+      window_sum = 0;
+      in_window = 0;
+    }
+    if (!(q < 1)) tail = kNaN;
+    if (!truncated) return {kInfinity, passes};
+    const bool stalled = merged.size() == last_merged;
+    if (merged.size() >= options.max_visits || stalled) {
+      return {std::isnan(tail) ? kInfinity : sum + tail, passes};
+    }
+    last_merged = merged.size();
+    cap = std::min(cap * 4, options.max_visits);
+  }
+}
+
+/// Every probe of the window-[1, 32] scan, as signed positions.
+std::vector<Real> window_32_probes(const Fleet& fleet) {
+  CrEvalOptions eval = small_eval();
+  eval.window_hi = 32;
+  const detail::ProbeBatch batch = detail::build_probe_batch(fleet, eval);
+  std::vector<Real> probes;
+  probes.reserve(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    probes.push_back(static_cast<Real>(batch.sides[i]) *
+                     batch.magnitudes[i]);
+  }
+  return probes;
+}
+
+/// Engine vs reference at every target; returns the reference's largest
+/// pass count so callers can assert which branches they reached.
+int expect_matches_reference(const Fleet& fleet,
+                             const std::vector<Real>& targets, const Real p,
+                             const std::string& context) {
+  ExpectationOptions options = expectation_at(p);
+  int max_passes = 0;
+  for (const Real x : targets) {
+    const ReferenceValue want =
+        reference_expected_detection_time(fleet, x, options);
+    const Real got = expected_detection_time(fleet, x, options);
+    EXPECT_TRUE(value_identical(got, want.value))
+        << context << " p=" << static_cast<double>(p)
+        << " x=" << static_cast<double>(x) << ": "
+        << static_cast<double>(got) << " vs "
+        << static_cast<double>(want.value);
+    max_passes = std::max(max_passes, want.passes);
+  }
+  return max_passes;
+}
+
+std::string pair_name(const int n, const int f) {
+  return "n=" + std::to_string(n) + " f=" + std::to_string(f);
+}
+
+TEST(ExpectationReference, EveryProbeOfEveryRegimePairIsBitIdentical) {
+  for (const auto& [n, f] : proportional_regime_pairs(12)) {
+    const Fleet fleet = ProportionalAlgorithm(n, f).build_unbounded_fleet();
+    const std::vector<Real> probes = window_32_probes(fleet);
+    for (const Real p : {0.05L, 0.25L, 0.5L}) {
+      EXPECT_EQ(expect_matches_reference(fleet, probes, p, pair_name(n, f)),
+                1)
+          << pair_name(n, f) << ": p <= 0.5 converges in the first pass";
+    }
+  }
+}
+
+TEST(ExpectationReference, ScanResultsAreBitIdentical) {
+  // The scan is the reference oracle run through the same probe loop.
+  for (const auto& [n, f] : {std::pair{2, 1}, {5, 3}, {12, 11}}) {
+    const Fleet fleet = ProportionalAlgorithm(n, f).build_unbounded_fleet();
+    const ExpectationOptions options = expectation_at(0.25L);
+    const CrEvalResult reference = detail::measure_cr_with(
+        fleet, 0, options.eval, [&](const Real x) {
+          return reference_expected_detection_time(fleet, x, options).value;
+        });
+    expect_scan_identical(measure_expected_cr(fleet, options), reference,
+                          pair_name(n, f));
+  }
+}
+
+TEST(ExpectationReference, EdgeProbabilitiesTakeTheSameBranches) {
+  // p = 0 and p = 1 return early.  Just below a pair's threshold the
+  // first pass cannot converge, so the cap grows (x0.995); closer still
+  // (x0.9999) the cap reaches max_visits or the ladder overflows and
+  // stalls, and the last window's tail decides.  Past the threshold the
+  // series diverges.  The reference's pass counts prove the slow paths
+  // ran: the sixth pass is the one at cap = max_visits.
+  const std::vector<Real> targets = {1.5L, -4.0L, 11.0L, -29.5L};
+  int most_passes = 0;
+  for (const auto& [n, f] : {std::pair{2, 1}, {3, 1}, {5, 2}, {8, 5}}) {
+    const Fleet fleet = ProportionalAlgorithm(n, f).build_unbounded_fleet();
+    const Real threshold = expectation_convergence_threshold(n, f);
+    for (const Real p :
+         {Real{0}, Real{1}, threshold * 0.995L, threshold * 0.9999L,
+          threshold * 1.01L, (threshold + 1) / 2}) {
+      most_passes = std::max(
+          most_passes,
+          expect_matches_reference(fleet, targets, p, pair_name(n, f)));
+    }
+  }
+  EXPECT_GE(most_passes, 6) << "no case reached the cap decision";
+}
+
+TEST(ExpectationReference, DenseCrashTruncatedAndTwoRayFleets) {
+  const std::vector<Real> probes_of_3_1 = window_32_probes(
+      ProportionalAlgorithm(3, 1).build_unbounded_fleet());
+  for (const Real p : {Real{0}, 0.05L, 0.25L, 0.5L, Real{1}}) {
+    // Fully dense: a finite visit list, decided before any pass.
+    const Fleet dense = ProportionalAlgorithm(3, 1).build_fleet(64);
+    (void)expect_matches_reference(dense, probes_of_3_1, p, "dense");
+    // Crash-truncated: robots 0 and 2 stop on dense prefixes while robot
+    // 1 keeps its analytic ladder, so the merge mixes both backends.
+    const Fleet crashed = truncate_at_crashes(
+        ProportionalAlgorithm(3, 1).build_unbounded_fleet(),
+        {20.0L, kInfinity, 45.5L});
+    (void)expect_matches_reference(crashed, probes_of_3_1, p, "crashed");
+    // Two-ray baseline: each ray visits a point at most once.
+    const Fleet rays = TwoGroupSplit(4, 1).build_unbounded_fleet();
+    (void)expect_matches_reference(rays, window_32_probes(rays), p, "rays");
+  }
 }
 
 // ---------------------------------------------------------------------------
